@@ -1,6 +1,6 @@
 """Number-theoretic transforms over NTT-friendly prime fields.
 
-Three functionally equivalent implementations are provided, mirroring the
+Three functionally equivalent front ends are provided, mirroring the
 paper's discussion (Section 4.4):
 
 * :class:`NttPlan` -- the classic iterative negacyclic NTT (Cooley-Tukey
@@ -11,8 +11,11 @@ paper's discussion (Section 4.4):
   reference.
 * :class:`NttStack` -- the same transform batched across a whole RNS limb
   stack: one call moves an ``(L, ..., N)`` double-CRT tensor between the
-  coefficient and evaluation domains, with per-limb twiddle tables stacked
-  into ``(L, N)`` arrays so no Python-level per-limb loop remains.
+  coefficient and evaluation domains with no Python-level per-limb loop.
+  Its engine follows from the degree and the moduli: sub-``2**31`` stacks
+  run as exact float64 GEMMs -- one ``N x N`` matmul per limb for small
+  ``N`` (one-step), the four-step split otherwise -- and Barrett stacks
+  run the butterfly stages over ``(L, N)`` stacked twiddle tables.
 * :func:`four_step_ntt` / :func:`multi_step_ntt` -- the matrix-multiplication
   formulations (four-step and the generalised "ten-step"/radix-16
   decomposition) that Neo maps onto tensor cores.  They operate on the
@@ -283,19 +286,51 @@ class NttPlan:
 class NttStack:
     """Batched negacyclic NTT across a whole RNS limb stack.
 
-    Wraps one :class:`NttPlan` per limb and, when every modulus sits on a
-    native backend, stacks their twiddle tables into ``(L, N)`` arrays so a
-    single sequence of vectorised butterfly stages transforms the entire
-    ``(L, ..., N)`` double-CRT tensor.  Mixed or object-backed bases fall
-    back to a per-limb loop over the underlying plans (the oracle path).
+    Wraps one :class:`NttPlan` per limb and picks one engine for the whole
+    ``(L, ..., N)`` double-CRT tensor from the degree and the moduli alone
+    (see :attr:`engine`):
 
-    Large transforms over sub-``2**31`` moduli additionally run as the
-    paper's four-step GEMM NTT (Section 4.4): the twist and bit-reversal
-    are folded into two constant ``sqrt(N) x sqrt(N)`` matrices whose
-    products run as exact float64 BLAS matmuls over 16-bit operand splits
-    -- the CPU analogue of Neo's tensor-core MMA path.  Bit-identical to
-    the butterfly stages.
+    * ``"one-step"`` -- small ``N`` over sub-``2**31`` moduli: the whole
+      transform is ONE exact float64 matmul per limb against a constant
+      ``N x N`` matrix with the ``psi`` twist and the bit-reversal folded
+      in (the ``factors=(N,)`` case of :func:`multi_step_ntt`).
+    * ``"four-step"`` -- every other sub-``2**31`` stack: the paper's
+      four-step GEMM NTT (Section 4.4), two constant
+      ``sqrt(N) x sqrt(N)`` matrices around an element-wise twiddle.
+    * ``"butterfly"`` -- Barrett moduli (``>= 2**31``), whose residues
+      overflow the float64 ``2**53`` bound: stacked ``(L, N)`` twiddle
+      tables drive one sequence of vectorised butterfly stages.
+    * ``"object"`` -- a limb on the exact object backend: a per-limb loop
+      over the underlying plans (the oracle path).
+
+    The GEMM engines run exact float64 BLAS matmuls over 16-bit operand
+    splits -- the CPU analogue of Neo's tensor-core MMA path -- and are
+    bit-identical to the butterfly stages.
     """
+
+    #: Largest degree run as a one-step ``N x N`` matmul.  Above it the
+    #: O(N^2) matmul loses to the O(N^1.5) four-step split (a tie at 128,
+    #: at 4x the matrix memory).  Forward times in microseconds on a
+    #: ``(12, 3, N)`` stack of 25-bit primes (numpy 2.4, one OpenBLAS
+    #: thread, 2-core Xeon VM); inverses are within ~1.5x of these:
+    #:
+    #: ====  ========  =========  =========
+    #: N     one-step  four-step  butterfly
+    #: ====  ========  =========  =========
+    #: 8     21        76         158
+    #: 32    22        68         196
+    #: 64    49        98         337
+    #: 128   163       169        607
+    #: 256   730       327        1567
+    #: 2048  --        2321       10985
+    #: ====  ========  =========  =========
+    _ONE_STEP_MAX_DEGREE = 1 << 6
+
+    #: Largest matrix side of the four-step split whose three-GEMM
+    #: (Karatsuba) form stays exact: ``k * 2**34 < 2**53`` for the float64
+    #: cross-term sums, and ``2**62 + k * (2**48 + 2**32) < 2**64`` for the
+    #: uint64 recombination -- every degree up to ``2**28``.
+    _FOUR_STEP_MAX_SIDE = 1 << 14
 
     def __init__(self, degree: int, moduli: Sequence[int]):
         self.degree = degree
@@ -303,6 +338,8 @@ class NttStack:
         self.plans: List[NttPlan] = [get_plan(degree, q) for q in self.moduli]
         self.native = all(plan.native for plan in self.plans)
         self._op32 = self.native and all(q < 2**31 for q in self.moduli)
+        self.engine = self._choose_engine()
+        self._one_step_consts = None
         self._gemm_fwd = None
         self._gemm_inv = None
         if self.native:
@@ -317,6 +354,22 @@ class NttStack:
             self._n_inv_shoup = np.array(
                 [p._n_inv_shoup for p in self.plans], dtype=_U64
             )
+
+    def _choose_engine(self) -> str:
+        """The fastest engine whose exactness bound the moduli satisfy."""
+        if not self.native:
+            return "object"
+        if not self._op32:
+            return "butterfly"
+        n = self.degree
+        if (
+            n <= self._ONE_STEP_MAX_DEGREE
+            and n * ((1 << 16) - 1) * (max(self.moduli) - 1) < 1 << 53
+        ):
+            return "one-step"
+        if n >> ((n.bit_length() - 1) // 2) <= self._FOUR_STEP_MAX_SIDE:
+            return "four-step"
+        return "butterfly"
 
     def _check(self, arr: np.ndarray):
         if arr.ndim < 2 or arr.shape[0] != len(self.moduli):
@@ -354,7 +407,9 @@ class NttStack:
             return np.stack(
                 [plan.forward(limb) for plan, limb in zip(self.plans, stack)]
             )
-        if self._gemm_ok:
+        if self.engine == "one-step":
+            return self._one_step(stack, inverse=False)
+        if self.engine == "four-step":
             return self._gemm_transform(stack, inverse=False)
         return self._blocked(stack, self._forward_native)
 
@@ -376,16 +431,62 @@ class NttStack:
             out[:, s : s + step] = kernel(np.ascontiguousarray(flat[:, s : s + step]))
         return out.reshape(stack.shape)
 
+    # -- one-step GEMM path (the factors=(N,) case of multi_step_ntt) --------
+
+    def _one_step_tables(self):
+        """Stacked ``(L, N, N)`` float64 ``R[j, k] = psi**((2 brv(k) + 1) j)``
+        plus its broadcast constants.
+
+        Column ``k`` evaluates at the odd power the butterflies leave in
+        slot ``k``, so ``x @ R`` is the bit-reversed negacyclic NTT.
+        """
+        if self._one_step_consts is None:
+            n = self.degree
+            L = len(self.moduli)
+            exps = np.outer(np.arange(n), 2 * _bit_reverse_permutation(n) + 1)
+            mat = np.stack(
+                [
+                    self._pow_table(plan.psi, 2 * n, plan.modulus)[exps % (2 * n)]
+                    for plan in self.plans
+                ]
+            ).astype(np.float64)
+            self._one_step_consts = (
+                mat,
+                self._q.reshape(L, 1, 1),
+                self._n_inv.reshape(L, 1, 1),
+                n * (max(self.moduli) - 1) ** 2 < 1 << 64,
+            )
+        return self._one_step_consts
+
+    def _one_step(self, stack: np.ndarray, inverse: bool) -> np.ndarray:
+        """The whole transform as one exact matmul per limb and data half.
+
+        The data splits into 16-bit halves against the shared float64
+        matrix; every contraction stays below ``N * (2**16 - 1) * (q - 1)
+        < 2**53``.  Recombined in uint64, the halves give the exact sum
+        ``x @ R < N * (q - 1)**2``; while that fits 64 bits a single
+        reduction finishes the transform.  The inverse reuses the matrix:
+        ``psi**-((2 brv(k) + 1) j) == R[j, N-1-k]``, so it reverses the
+        input along the coefficient axis, multiplies by ``R^T`` and scales
+        by ``N**-1`` (a product below ``2**62``).
+        """
+        mat, q, n_inv, fits64 = self._one_step_tables()
+        x = stack.reshape(len(self.moduli), -1, self.degree)
+        if inverse:
+            x = x[..., ::-1]
+            mat = mat.transpose(0, 2, 1)
+        r = ((x >> _U64(16)).astype(np.float64) @ mat).astype(_U64)
+        if not fits64:
+            r %= q
+        r <<= _U64(16)
+        r += ((x & _U64(0xFFFF)).astype(np.float64) @ mat).astype(_U64)
+        r %= q
+        if inverse:
+            r *= n_inv
+            r %= q
+        return r.reshape(stack.shape)
+
     # -- four-step GEMM path (Neo Section 4.4 on float64 BLAS) ---------------
-
-    #: Transforms at or above this size route through the GEMM NTT when all
-    #: moduli are below ``2**31``; smaller ones keep the butterfly stages
-    #: (matmul setup would dominate).  Exposed for tests to override.
-    _GEMM_MIN_DEGREE = 1 << 12
-
-    @property
-    def _gemm_ok(self) -> bool:
-        return self._op32 and self.degree >= self._GEMM_MIN_DEGREE
 
     @staticmethod
     def _pow_table(base: int, length: int, q: int) -> np.ndarray:
@@ -587,7 +688,9 @@ class NttStack:
             return np.stack(
                 [plan.inverse(limb) for plan, limb in zip(self.plans, stack)]
             )
-        if self._gemm_ok:
+        if self.engine == "one-step":
+            return self._one_step(stack, inverse=True)
+        if self.engine == "four-step":
             return self._gemm_transform(stack, inverse=True)
         return self._blocked(stack, self._inverse_native)
 
@@ -721,18 +824,19 @@ register_cache("ntt_stacks", lambda: _STACK_CACHE.stats,
 def get_plan(degree: int, modulus: int) -> NttPlan:
     """Return the cached :class:`NttPlan` for ``(degree, modulus)``.
 
-    The backend kind is part of the key, so plans requested under
-    :func:`modarith.object_backend` never alias the native ones.
+    The backend policy is part of the key (as in
+    :meth:`repro.math.modstack.ModulusStack.for_moduli`), so plans requested
+    under :func:`modarith.object_backend` never alias the native ones.
     """
-    key = (degree, modulus, modarith.backend_kind(modulus))
+    key = (degree, modulus, modarith._BARRETT_ENABLED)
     return _PLAN_CACHE.get_or_build(key, lambda: NttPlan(degree, modulus))
 
 
 def get_stack(degree: int, moduli: Sequence[int]) -> NttStack:
-    """Return the cached :class:`NttStack` for ``(degree, moduli)``."""
-    moduli = tuple(int(q) for q in moduli)
-    key = (degree, moduli, tuple(modarith.backend_kind(q) for q in moduli))
-    return _STACK_CACHE.get_or_build(key, lambda: NttStack(degree, moduli))
+    """Return the cached :class:`NttStack` for ``(degree, moduli)``; keyed
+    like :func:`get_plan`."""
+    key = (degree, tuple(moduli), modarith._BARRETT_ENABLED)
+    return _STACK_CACHE.get_or_build(key, lambda: NttStack(degree, key[1]))
 
 
 def clear_plan_cache() -> None:

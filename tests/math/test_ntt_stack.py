@@ -1,0 +1,147 @@
+"""NttStack engines against the per-limb NttPlan oracle.
+
+Every engine -- one-step GEMM, four-step GEMM, butterfly stages -- must be
+bit-identical to running one :class:`NttPlan` per limb under
+:func:`modarith.object_backend` (exact Python integers for Barrett
+moduli), for every degree, batch shape and memory layout.
+"""
+
+import numpy as np
+import pytest
+
+from repro.math import modarith, ntt
+from repro.math.primes import ntt_primes
+
+Q25 = tuple(ntt_primes(25, 8192, 3))
+Q27 = tuple(ntt_primes(27, 4096, 3))
+Q30 = tuple(ntt_primes(30, 4096, 3))
+Q36 = tuple(ntt_primes(36, 4096, 2))
+MIXED = Q25[:2] + Q36[:1]
+MODULI = {"q25": Q25, "q27": Q27, "q30": Q30, "q36": Q36, "mixed": MIXED}
+DEGREES = [2, 8, 32, 64, 256, 4096]
+BATCHES = [(), (3,), (3, 4)]
+
+
+def _random_stack(moduli, shape, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack(
+        [rng.integers(0, q, size=shape, dtype=np.uint64) for q in moduli]
+    )
+
+
+def _oracle(degree, moduli, stack, inverse):
+    """One fresh NttPlan per limb, built and run on the object backend."""
+    with modarith.object_backend():
+        out = []
+        for q, limb in zip(moduli, stack):
+            plan = ntt.NttPlan(degree, q)
+            run = plan.inverse if inverse else plan.forward
+            out.append(np.asarray(run(limb.astype(object))).astype(object))
+    return np.stack(out).astype(np.uint64)
+
+
+def _expected_engine(degree, moduli):
+    if max(moduli) >= 2**31:
+        return "butterfly"
+    return "one-step" if degree <= ntt.NttStack._ONE_STEP_MAX_DEGREE else "four-step"
+
+
+def _check_against_oracle(stack, x):
+    fwd = stack.forward(x)
+    assert fwd.dtype == np.uint64 and fwd.shape == x.shape
+    assert np.array_equal(fwd, _oracle(stack.degree, stack.moduli, x, False))
+    assert np.array_equal(
+        stack.inverse(x), _oracle(stack.degree, stack.moduli, x, True)
+    )
+    assert np.array_equal(stack.inverse(fwd), x)
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=lambda b: f"batch{b}")
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("name", list(MODULI))
+def test_engines_match_per_limb_oracle(name, degree, batch):
+    moduli = MODULI[name]
+    stack = ntt.NttStack(degree, moduli)
+    assert stack.engine == _expected_engine(degree, moduli)
+    x = _random_stack(moduli, batch + (degree,), seed=degree + len(batch))
+    before = x.copy()
+    _check_against_oracle(stack, x)
+    assert np.array_equal(x, before), "transform mutated its input"
+
+
+@pytest.mark.parametrize("degree", [8, 32, 256])
+@pytest.mark.parametrize("name", ["q25", "q30", "q36"])
+def test_non_contiguous_inputs(name, degree):
+    moduli = MODULI[name]
+    stack = ntt.NttStack(degree, moduli)
+    wide = _random_stack(moduli, (6, 2 * degree), seed=degree)
+    strided = wide[:, ::2, ::2]  # strided batch and coefficient axes
+    swapped = np.ascontiguousarray(strided.transpose(1, 0, 2)).transpose(1, 0, 2)
+    for x in (strided, swapped):
+        assert not x.flags["C_CONTIGUOUS"]
+        dense = np.ascontiguousarray(x)
+        assert np.array_equal(stack.forward(x), stack.forward(dense))
+        assert np.array_equal(stack.inverse(x), stack.inverse(dense))
+    _check_against_oracle(stack, strided)
+
+
+@pytest.mark.parametrize("degree", [2, 8, 32])
+@pytest.mark.parametrize("name", ["q25", "q30"])
+def test_one_step_matches_dense_vandermonde(name, degree):
+    """Slot k holds the evaluation at ``psi**(2 brv(k) + 1)``."""
+    moduli = MODULI[name]
+    stack = ntt.NttStack(degree, moduli)
+    assert stack.engine == "one-step"
+    x = _random_stack(moduli, (degree,), seed=3)
+    fwd = stack.forward(x)
+    rev = ntt._bit_reverse_permutation(degree)
+    for limb, plan, row in zip(x, stack.plans, fwd):
+        natural = ntt.natural_order_negacyclic(plan, limb)
+        assert [int(v) for v in row] == [int(v) for v in natural[rev]]
+
+
+def test_engine_selection():
+    assert ntt.NttStack(32, Q25).engine == "one-step"
+    assert ntt.NttStack(8192, Q25).engine == "four-step"
+    assert ntt.NttStack(32, Q36).engine == "butterfly"
+    assert ntt.NttStack(32, MIXED).engine == "butterfly"
+    with modarith.object_backend():
+        assert ntt.NttStack(32, Q36).engine == "object"
+
+
+def test_one_step_bound_routes_wide_moduli_to_four_step(monkeypatch):
+    """Past ``N (2**16 - 1) (q - 1) < 2**53`` the one-step sums are inexact,
+    so even an unlimited crossover must hand the stack to four-step."""
+    monkeypatch.setattr(ntt.NttStack, "_ONE_STEP_MAX_DEGREE", 1 << 12)
+    narrow = ntt.NttStack(256, Q25)
+    wide = ntt.NttStack(256, Q30)
+    assert 256 * (2**16 - 1) * (max(Q30) - 1) >= 2**53
+    assert (narrow.engine, wide.engine) == ("one-step", "four-step")
+    for stack in (narrow, wide):
+        _check_against_oracle(stack, _random_stack(stack.moduli, (3, 256), seed=9))
+
+
+def test_butterflies_when_neither_gemm_bound_holds(monkeypatch):
+    monkeypatch.setattr(ntt.NttStack, "_ONE_STEP_MAX_DEGREE", 0)
+    monkeypatch.setattr(ntt.NttStack, "_FOUR_STEP_MAX_SIDE", 0)
+    stack = ntt.NttStack(64, Q25)
+    assert stack.engine == "butterfly"
+    _check_against_oracle(stack, _random_stack(Q25, (3, 64), seed=11))
+
+
+def test_object_backend_stacks_never_alias_native():
+    x = _random_stack(Q36, (32,), seed=5)
+    native = ntt.get_stack(32, Q36)
+    native_plan = ntt.get_plan(32, Q36[0])
+    with modarith.object_backend():
+        oracle = ntt.get_stack(32, Q36)
+        assert ntt.get_stack(32, list(Q36)) is oracle
+        oracle_plan = ntt.get_plan(32, Q36[0])
+        oracle_fwd = oracle.forward(x.astype(object))
+    assert oracle is not native and oracle_plan is not native_plan
+    assert (native.engine, oracle.engine) == ("butterfly", "object")
+    assert native_plan.native and not oracle_plan.native
+    assert ntt.get_stack(32, Q36) is native
+    assert ntt.get_plan(32, Q36[0]) is native_plan
+    assert oracle_fwd.dtype == object
+    assert np.array_equal(native.forward(x), oracle_fwd.astype(np.uint64))
