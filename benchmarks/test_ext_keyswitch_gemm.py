@@ -1,35 +1,29 @@
-"""Extension: GEMM-form key-switch engine benchmark.
+"""Extension: GEMM-form key-switch engine at N = 2**14, checked bit for bit.
 
 The paper's core claim (Sections 4.2-4.4) is that BConv, the key-switch
 inner product and the NTT all become GEMMs: BConv is one batched matmul
 against the precomputed conversion matrix (Algorithm 2), the inner product
 is a lazily-reduced einsum against the pre-stacked evk tensor (Algorithm
-4's bound analysis), and the NTT factors into two small matmuls via the
-four-step decomposition.  The seed code executed the same pipeline as
-Python loops over per-digit ``multiply``/``add`` calls with a full Barrett
-reduction per step.
-
-Acceptance bar (ISSUE 5): at ``N = 2**14`` the GEMM-form KLSS key switch
-(:func:`klss.keyswitch`) must be at least **3x** faster than the per-digit
-loop form (:func:`klss.keyswitch_loop`) while producing bit-identical
-limbs (measured ~3.7x on the reference machine).
+4's bound analysis), and the NTT factors into small matmuls.  Those
+rewrites are only admissible if they are *exact*: at ``N = 2**14`` with
+``dnum = 12`` both GEMM key switches must match the per-digit reference
+pipeline (:func:`repro.ckks.reference.keyswitch`) limb for limb.  Speed
+is tracked by the committed wall-clock benchmark (``bench/``), not here.
 """
-
-import time
 
 import numpy as np
 import pytest
 
+from repro.ckks import reference
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.keyswitch import hybrid, klss
-from repro.ckks.keyswitch import plan as ksplan
 from repro.ckks.params import CkksParameters, KlssConfig
+from repro.math.polynomial import RnsPolynomial
 
 LOG_DEGREE = 14
 DEGREE = 1 << LOG_DEGREE
 WORDSIZE = 25
 DNUM = 12
-SPEEDUP_FLOOR = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -42,65 +36,18 @@ def workload():
         klss=KlssConfig(wordsize_t=30, alpha_tilde=2),
     )
     gen = KeyGenerator(params, seed=0)
-    secret = gen.secret_key()
-    ksk = gen.relinearisation_key(secret)
+    ksk = gen.relinearisation_key(gen.secret_key())
     rng = np.random.default_rng(0)
     basis = params.q_basis(params.max_level)
     limbs = [rng.integers(0, q, size=DEGREE, dtype=np.uint64) for q in basis.moduli]
-    from repro.math.polynomial import RnsPolynomial
-
-    poly = RnsPolynomial(DEGREE, basis, limbs, is_ntt=False)
-    ksplan.clear_keyswitch_plan_cache()
-    return params, ksk, poly
+    return params, ksk, RnsPolynomial(DEGREE, basis, limbs, is_ntt=False)
 
 
-def _best_time(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _assert_identical(pair_a, pair_b):
-    for left, right in zip(pair_a, pair_b):
+@pytest.mark.parametrize("method", ["klss", "hybrid"])
+def test_gemm_keyswitch_matches_reference(workload, method):
+    params, ksk, poly = workload
+    got = {"klss": klss, "hybrid": hybrid}[method].keyswitch(poly, ksk, params)
+    want = reference.keyswitch(poly, ksk, params, method)
+    for left, right in zip(got, want):
         assert left.basis == right.basis
-        for la, lb in zip(left.limbs, right.limbs):
-            assert np.array_equal(np.asarray(la), np.asarray(lb))
-
-
-def test_klss_gemm_bit_identical_to_loop(workload):
-    params, ksk, poly = workload
-    _assert_identical(
-        klss.keyswitch(poly, ksk, params),
-        klss.keyswitch_loop(poly, ksk, params),
-    )
-
-
-def test_hybrid_gemm_bit_identical_to_loop(workload):
-    params, ksk, poly = workload
-    _assert_identical(
-        hybrid.keyswitch(poly, ksk, params),
-        hybrid.keyswitch_loop(poly, ksk, params),
-    )
-
-
-def test_klss_gemm_speedup_at_least_3x(workload):
-    params, ksk, poly = workload
-    klss.keyswitch(poly, ksk, params)  # warm plan + NTT caches
-    klss.keyswitch_loop(poly, ksk, params)
-    t_gemm = _best_time(lambda: klss.keyswitch(poly, ksk, params), repeats=3)
-    t_loop = _best_time(lambda: klss.keyswitch_loop(poly, ksk, params), repeats=3)
-    stats = ksplan.keyswitch_plan_cache_stats()
-    speedup = t_loop / t_gemm
-    print(
-        f"\nKLSS N=2^{LOG_DEGREE} dnum={DNUM} w={WORDSIZE}: "
-        f"loop {t_loop * 1e3:.1f} ms, gemm {t_gemm * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x "
-        f"(plan cache: {stats['hits']} hits / {stats['misses']} misses)"
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"GEMM key switch speedup only {speedup:.2f}x "
-        f"(needs >= {SPEEDUP_FLOOR}x)"
-    )
+        assert np.array_equal(left.stack, right.stack)

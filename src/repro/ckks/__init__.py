@@ -6,7 +6,7 @@ from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
 from .encryptor import Decryptor, Encryptor
 from .evaluator import Evaluator
-from .hoisting import HoistedRotator, hoisted_rotations
+from .hoisting import hoisted_rotations
 from .linear_transform import LinearTransform, identity_transform, rotation_keys_for
 from .noise import NoiseEstimator, measure_noise_bits, remaining_budget_bits
 from .poly_eval import PolynomialEvaluator, chebyshev_coefficients
@@ -37,7 +37,6 @@ __all__ = [
     "Encryptor",
     "Evaluator",
     "GaloisKeys",
-    "HoistedRotator",
     "KeyGenerator",
     "KeySwitchKey",
     "KlssConfig",

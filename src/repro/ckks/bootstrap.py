@@ -21,13 +21,13 @@ sine approximation, which is why bootstrappable deployments use sparse
 secrets (`KeyGenerator.secret_key(hamming_weight=...)`) -- they keep
 ``|I|`` small so a modest polynomial degree suffices.
 
-Every stage rides the evaluator's key-switch method: with a GEMM-form
-evaluator (``"hybrid"`` / ``"klss"``), CoeffToSlot and SlotToCoeff run
-through compiled :class:`~repro.ckks.linear_transform.LinearTransformPlan`
-objects (hoisted baby rotations, batched giant steps, rescale folded into
-the accumulation epilogue) and EvalMod's Paterson-Stockmeyer chunks replay
-cached constants; with a ``*-loop`` evaluator the whole pipeline runs the
-per-digit reference forms.  The two are bit-identical end to end.
+Every stage rides the evaluator's key-switch method (``"hybrid"`` or
+``"klss"``): CoeffToSlot and SlotToCoeff run through compiled
+:class:`~repro.ckks.linear_transform.LinearTransformPlan` objects (hoisted
+baby rotations, batched giant steps, rescale folded into the accumulation
+epilogue) and EvalMod's Paterson-Stockmeyer chunks replay cached
+constants.  Golden limb digests of every stage pin the output
+(``tests/fixtures/golden_bootstrap_digests.json``).
 """
 
 from __future__ import annotations

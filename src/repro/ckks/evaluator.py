@@ -31,9 +31,9 @@ from .params import CkksParameters
 #: exactly tracked float scale).
 _SCALE_RTOL = 5e-2
 
-#: GEMM-form engines plus their per-digit reference pipelines (the
-#: ``-loop`` variants are bit-identical and kept for differential runs).
-KEYSWITCH_METHODS = ("hybrid", "klss", "hybrid-loop", "klss-loop")
+#: Key-switch back-ends, both run by the GEMM-form engine of
+#: :mod:`.keyswitch.plan`.
+KEYSWITCH_METHODS = ("hybrid", "klss")
 
 
 class Evaluator:
@@ -61,7 +61,7 @@ class Evaluator:
     ):
         if method not in KEYSWITCH_METHODS:
             raise ValueError(f"method must be one of {KEYSWITCH_METHODS}")
-        if method in ("klss", "klss-loop") and params.klss is None:
+        if method == "klss" and params.klss is None:
             raise ValueError("KLSS method requires parameters with a KlssConfig")
         self.params = params
         self.relin_key = relin_key
@@ -81,10 +81,6 @@ class Evaluator:
     ) -> Tuple[RnsPolynomial, RnsPolynomial]:
         if self.method == "klss":
             return klss_ks.keyswitch(poly, ksk, self.params)
-        if self.method == "klss-loop":
-            return klss_ks.keyswitch_loop(poly, ksk, self.params)
-        if self.method == "hybrid-loop":
-            return hybrid_ks.keyswitch_loop(poly, ksk, self.params)
         return hybrid_ks.keyswitch(poly, ksk, self.params)
 
     # -- level/scale alignment -------------------------------------------------------
@@ -245,21 +241,18 @@ class Evaluator:
     def rotate_many(self, ct: Ciphertext, steps) -> dict:
         """All requested rotations off ONE shared (hoisted) ModUp.
 
-        GEMM-form methods run the op-plan compiler's batched engine;
-        ``*-loop`` methods run the per-digit hoisted baseline.  Note the
-        hoisted dataflow is not bit-identical to per-step :meth:`rotate`
-        (the approximate-ModUp slack transforms differently), but both
-        decrypt to the same slots.
+        Runs the op-plan compiler's batched engine.  Note the hoisted
+        dataflow is not bit-identical to per-step :meth:`rotate` (the
+        approximate-ModUp slack transforms differently), but both decrypt
+        to the same slots.
         """
         self._require_relinearised(ct, "rotate_many")
         if self.galois_keys is None:
             raise ValueError("no Galois keys configured")
         from .hoisting import hoisted_rotations
 
-        engine = "loop" if self.method.endswith("-loop") else "plan"
         return hoisted_rotations(
-            ct, steps, self.galois_keys, self.params,
-            method=self.method, engine=engine,
+            ct, steps, self.galois_keys, self.params, method=self.method
         )
 
     # -- rescaling --------------------------------------------------------------------------

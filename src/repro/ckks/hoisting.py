@@ -11,160 +11,29 @@ so the expensive decompose + ModUp runs **once**, and each rotation only
 pays the automorphism permutation, the inner product against its own key,
 and ModDown.
 
-Two engines share this dataflow:
+:func:`hoisted_rotations` runs the op-plan compiler of
+:mod:`.keyswitch.plan`: one BConv GEMM raises the digits, all k
+automorphisms run as a single gathered fancy index, and all k inner
+products fold into one batched lazily-reduced einsum against the stacked
+Galois-key tensor.  It is checked bit for bit against the hoisted form of
+:func:`repro.ckks.reference.keyswitch`.
 
-* ``engine="plan"`` -- the op-plan compiler of :mod:`.keyswitch.plan`:
-  one BConv GEMM raises the digits, all k automorphisms run as a single
-  gathered fancy index, and all k inner products fold into one batched
-  lazily-reduced einsum against the stacked Galois-key tensor.
-* ``engine="loop"`` -- :class:`HoistedRotator`, the per-digit reference
-  pipeline.  Bit-identical to the plan engine (same exact sums modulo
-  each limb at every step), kept as the differential baseline.
-
-Note the *hoisted* forms are NOT bit-identical to the non-hoisted
+Note the *hoisted* form is NOT bit-identical to the non-hoisted
 ``Evaluator.rotate``: the approximate ModUp slack ``u * Q_j`` transforms
 differently under the automorphism's sign flips, so hoisting changes the
 (correctness-irrelevant) noise bits.  Differential tests therefore pit
-plan-hoisted against loop-hoisted, never hoisted against non-hoisted.
+hoisted rotations against the hoisted reference, never hoisted against
+non-hoisted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-import numpy as np
-
-from ..math.polynomial import RnsPolynomial
-from ..math.rns import bconv_approx_eager
 from .ciphertext import Ciphertext
 from .keys import GaloisKeys, rotation_galois_power
-from .keyswitch import hybrid
 from .keyswitch import plan as _plan
 from .params import CkksParameters
-
-
-def _base_method(method: str) -> str:
-    """Strip the ``-loop`` suffix: loop variants share the base key layout."""
-    base = method[: -len("-loop")] if method.endswith("-loop") else method
-    if base not in ("hybrid", "klss"):
-        raise ValueError(f"unknown key-switch method {method!r}")
-    return base
-
-
-class HoistedRotator:
-    """Precomputes the raised digits of one ciphertext for many rotations.
-
-    This is the per-digit *loop* form -- the bit-identical differential
-    baseline of :func:`hoisted_rotations`'s plan engine.  ``method``
-    selects the key-switch family: ``"hybrid"`` raises digits into the
-    ``PQ`` basis, ``"klss"`` into the auxiliary ``T`` basis (mirroring
-    :func:`repro.ckks.keyswitch.klss.keyswitch_loop`, with the
-    automorphism applied to the raised digits instead of the input).
-    """
-
-    def __init__(self, ct: Ciphertext, params: CkksParameters, method: str = "hybrid"):
-        if ct.c2 is not None:
-            raise ValueError("hoisting requires a relinearised ciphertext")
-        self.ct = ct
-        self.params = params
-        self.level = ct.level
-        self.method = _base_method(method)
-        digits = hybrid.decompose_digits(ct.c1, params)
-        if self.method == "hybrid":
-            #: ModUp'd digits of c1, shared by every rotation (the hoisted part).
-            self.raised = [
-                hybrid.mod_up(digit, j, params, self.level)
-                for j, digit in enumerate(digits)
-            ]
-        else:
-            if params.klss is None:
-                raise ValueError("KLSS hoisting requires parameters with a KlssConfig")
-            alpha_prime, _, _ = params.klss_dims(self.level)
-            t_basis = params.aux_basis.subbasis(0, alpha_prime)
-            self.t_basis = t_basis
-            self.raised = [
-                RnsPolynomial(
-                    ct.degree,
-                    t_basis,
-                    bconv_approx_eager(digit.limbs, digit.basis, t_basis),
-                    is_ntt=False,
-                )
-                for digit in digits
-            ]
-
-    def rotate(self, steps: int, galois_keys: GaloisKeys) -> Ciphertext:
-        """One rotation using the shared raised digits."""
-        params = self.params
-        if steps % params.slots == 0:
-            # Identity automorphism (steps = 0 or a multiple of the slot
-            # count): rotating is a no-op, so skip the key switch entirely
-            # instead of looking up a Galois key for power 1.
-            return self.ct
-        power = rotation_galois_power(steps, params.degree)
-        key = galois_keys.get(power)
-        if self.method == "hybrid":
-            return self._rotate_hybrid(power, key)
-        return self._rotate_klss(power, key)
-
-    def _rotate_hybrid(self, power: int, key) -> Ciphertext:
-        params = self.params
-        pairs = hybrid._key_pairs_at_level(key, params, self.level)
-        pq = params.pq_basis(self.level)
-        acc_b = RnsPolynomial.zero(self.ct.degree, pq, is_ntt=True)
-        acc_a = RnsPolynomial.zero(self.ct.degree, pq, is_ntt=True)
-        for j, raised in enumerate(self.raised):
-            rotated = raised.automorphism(power).to_ntt()
-            b_j, a_j = pairs[j]
-            acc_b = acc_b.add(rotated.multiply(b_j))
-            acc_a = acc_a.add(rotated.multiply(a_j))
-        p0 = hybrid.mod_down(acc_b.from_ntt(), params, self.level)
-        p1 = hybrid.mod_down(acc_a.from_ntt(), params, self.level)
-        rotated_c0 = self.ct.c0.automorphism(power)
-        return Ciphertext(
-            rotated_c0.add(p0), p1, self.ct.scale, params
-        )
-
-    def _rotate_klss(self, power: int, key) -> Ciphertext:
-        params = self.params
-        degree = self.ct.degree
-        kplan = _plan.get_keyswitch_plan(key, params, self.level, "klss")
-        kk = kplan.klss_key
-        t_basis = kk.t_basis
-        acc: List[Tuple[RnsPolynomial, RnsPolynomial]] = [
-            (
-                RnsPolynomial.zero(degree, t_basis, is_ntt=True),
-                RnsPolynomial.zero(degree, t_basis, is_ntt=True),
-            )
-            for _ in range(kk.beta_tilde)
-        ]
-        for j, raised in enumerate(self.raised):
-            rotated = raised.automorphism(power).to_ntt()
-            for i in range(kk.beta_tilde):
-                evk_b, evk_a = kk.digit_pairs[i][j]
-                acc_b, acc_a = acc[i]
-                acc[i] = (
-                    acc_b.add(rotated.multiply(evk_b)),
-                    acc_a.add(rotated.multiply(evk_a)),
-                )
-        pq = kk.pq_basis
-        out_shape = self.ct.c1.batch_shape + (degree,)
-        sum_b = np.zeros(out_shape, dtype=object)
-        sum_a = np.zeros(out_shape, dtype=object)
-        for (acc_b, acc_a), g_hat in zip(acc, kk.gadget_factors):
-            sum_b += t_basis.compose_signed(acc_b.from_ntt().limbs) * g_hat
-            sum_a += t_basis.compose_signed(acc_a.from_ntt().limbs) * g_hat
-        recovered_b = RnsPolynomial(degree, pq, pq.decompose(sum_b), is_ntt=False)
-        recovered_a = RnsPolynomial(degree, pq, pq.decompose(sum_a), is_ntt=False)
-        p0 = hybrid.mod_down(recovered_b, params, self.level, bconv=bconv_approx_eager)
-        p1 = hybrid.mod_down(recovered_a, params, self.level, bconv=bconv_approx_eager)
-        rotated_c0 = self.ct.c0.automorphism(power)
-        return Ciphertext(rotated_c0.add(p0), p1, self.ct.scale, params)
-
-    def rotate_many(
-        self, steps: Sequence[int], galois_keys: GaloisKeys
-    ) -> Dict[int, Ciphertext]:
-        """All requested rotations off the single hoisted ModUp."""
-        return {s: self.rotate(s, galois_keys) for s in steps}
 
 
 def hoisted_rotations(
@@ -173,21 +42,14 @@ def hoisted_rotations(
     galois_keys: GaloisKeys,
     params: CkksParameters,
     method: str = "hybrid",
-    engine: str = "plan",
 ) -> Dict[int, Ciphertext]:
     """Rotate `ct` by every step with one shared ModUp.
 
-    ``engine="plan"`` runs the op-plan compiler (one BConv GEMM, gathered
-    automorphisms, one batched IP einsum); ``engine="loop"`` runs the
-    per-digit :class:`HoistedRotator` baseline.  The two are bit-identical.
-    Steps that are multiples of the slot count short-circuit to the input
+    Runs the op-plan compiler: one BConv GEMM, gathered automorphisms,
+    one batched IP einsum.  `method` is ``"hybrid"`` or ``"klss"``.  Steps
+    that are multiples of the slot count short-circuit to the input
     ciphertext (identity automorphism -- no key switch, no Galois key).
     """
-    if engine not in ("plan", "loop"):
-        raise ValueError(f"unknown hoisting engine {engine!r}")
-    base = _base_method(method)
-    if engine == "loop":
-        return HoistedRotator(ct, params, method=base).rotate_many(steps, galois_keys)
     if ct.c2 is not None:
         raise ValueError("hoisting requires a relinearised ciphertext")
     unique = list(dict.fromkeys(steps))
@@ -199,7 +61,7 @@ def hoisted_rotations(
     if live:
         powers = tuple(rotation_galois_power(s, params.degree) for s in live)
         hplan = _plan.get_hoisted_rotation_plan(
-            galois_keys, powers, params, ct.level, base
+            galois_keys, powers, params, ct.level, method
         )
         pairs = _plan.hoisted_gemm_rotations(ct.c0, ct.c1, hplan)
         for s, (p0, p1) in zip(live, pairs):

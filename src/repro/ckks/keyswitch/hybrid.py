@@ -12,9 +12,10 @@ The classic GPU pipeline the paper compares against (Fig. 5, left path):
 4. **Mod Down** -- divide by ``P`` and return to the ciphertext basis.
 
 :func:`keyswitch` runs the GEMM-form engine of :mod:`.plan` (batched
-BConv matmul + lazy-reduction IP, Neo Algorithms 2 and 4);
-:func:`keyswitch_loop` keeps the per-digit reference pipeline.  The two
-are bit-identical.
+BConv matmul + lazy-reduction IP, Neo Algorithms 2 and 4).
+:func:`mod_up` and :func:`mod_down` are the per-digit ModUp / ModDown of
+the reference pipeline in :mod:`repro.ckks.reference`, which checks the
+engine bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from typing import List, Tuple
 
 from ...math import modarith
 from ...math.polynomial import RnsPolynomial
-from ...math.rns import RnsBasis, bconv_approx, bconv_approx_eager
+from ...math.rns import RnsBasis, bconv_approx
 from ..keys import KeySwitchKey
 from ..params import CkksParameters
 from . import plan as _plan
-from .plan import restrict_to_pq  # noqa: F401  (re-exported, used by hoisting)
+from .plan import restrict_to_pq  # noqa: F401  (re-exported)
 
 
 def decompose_digits(
@@ -55,7 +56,6 @@ def mod_up(
     digit_index: int,
     params: CkksParameters,
     level: int,
-    bconv=bconv_approx,
 ) -> RnsPolynomial:
     """Raise one digit to the ``PQ`` basis (paper's Mod Up / BConv step).
 
@@ -69,7 +69,7 @@ def mod_up(
     other_moduli = [
         q for idx, q in enumerate(pq.moduli) if not start <= idx < stop
     ]
-    converted = bconv(digit.limbs, digit.basis, RnsBasis(other_moduli))
+    converted = bconv_approx(digit.limbs, digit.basis, RnsBasis(other_moduli))
     converted_iter = iter(converted)
     limbs = []
     for idx in range(len(pq.moduli)):
@@ -84,7 +84,6 @@ def mod_down(
     poly: RnsPolynomial,
     params: CkksParameters,
     level: int,
-    bconv=bconv_approx,
 ) -> RnsPolynomial:
     """Divide by ``P`` and drop the special limbs (paper's Mod Down)."""
     poly = poly.from_ntt()
@@ -93,7 +92,7 @@ def mod_down(
     q_count = level + 1
     q_limbs = poly.limbs[:q_count]
     p_limbs = poly.limbs[q_count:]
-    converted = bconv(p_limbs, p_basis, q_basis)
+    converted = bconv_approx(p_limbs, p_basis, q_basis)
     limbs = []
     for limb, conv, q in zip(q_limbs, converted, q_basis.moduli):
         p_inv = modarith.inv_mod(params.special_product % q, q)
@@ -103,18 +102,6 @@ def mod_down(
     return RnsPolynomial(poly.degree, q_basis, limbs, is_ntt=False)
 
 
-def _key_pairs_at_level(
-    ksk: KeySwitchKey, params: CkksParameters, level: int
-) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
-    """Evk pairs restricted to the level-``l`` PQ basis, NTT form, cached.
-
-    Served from the shared :mod:`.plan` cache -- keyed by the params
-    fingerprint and the key's identity token, so a key reused under
-    sibling parameter sets never sees stale restrictions.
-    """
-    return _plan.get_keyswitch_plan(ksk, params, level, "hybrid").key_pairs
-
-
 def keyswitch(
     poly: RnsPolynomial, ksk: KeySwitchKey, params: CkksParameters
 ) -> Tuple[RnsPolynomial, RnsPolynomial]:
@@ -122,42 +109,8 @@ def keyswitch(
 
     Returns ``(p0, p1)`` over the ciphertext basis such that
     ``p0 + p1 * s ~ poly * s'`` (up to key-switching noise).  Runs the
-    batched GEMM pipeline; bit-identical to :func:`keyswitch_loop`.
+    batched GEMM pipeline.
     """
     level = len(poly.basis) - 1
     ks_plan = _plan.get_keyswitch_plan(ksk, params, level, "hybrid")
     return _plan.gemm_keyswitch(poly, ks_plan)
-
-
-def keyswitch_loop(
-    poly: RnsPolynomial, ksk: KeySwitchKey, params: CkksParameters
-) -> Tuple[RnsPolynomial, RnsPolynomial]:
-    """The per-digit reference pipeline (kept for differential testing).
-
-    This is the pre-GEMM dataflow: one BConv with eager per-step reduction
-    per digit (:func:`~repro.math.rns.bconv_approx_eager`), one NTT per
-    digit, and an inner product of per-limb ``multiply``/``add`` calls with
-    a full Barrett reduction per step.  Bit-identical to :func:`keyswitch`.
-    """
-    level = len(poly.basis) - 1
-    digits = decompose_digits(poly, params)
-    if len(digits) > ksk.dnum:
-        raise ValueError(
-            f"key has {ksk.dnum} digits but level {level} needs {len(digits)}"
-        )
-    pairs = _key_pairs_at_level(ksk, params, level)
-    pq = params.pq_basis(level)
-    acc_b = RnsPolynomial.zero(poly.degree, pq, is_ntt=True)
-    acc_a = RnsPolynomial.zero(poly.degree, pq, is_ntt=True)
-    for j, digit in enumerate(digits):
-        raised = mod_up(
-            digit, j, params, level, bconv=bconv_approx_eager
-        ).to_ntt()  # Mod Up + NTT
-        b_j, a_j = pairs[j]
-        acc_b = acc_b.add(raised.multiply(b_j))  # Inner Product
-        acc_a = acc_a.add(raised.multiply(a_j))
-    p0 = mod_down(  # INTT + Mod Down
-        acc_b.from_ntt(), params, level, bconv=bconv_approx_eager
-    )
-    p1 = mod_down(acc_a.from_ntt(), params, level, bconv=bconv_approx_eager)
-    return p0, p1

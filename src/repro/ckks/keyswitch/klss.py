@@ -20,21 +20,17 @@ The six-step pipeline of the paper's Fig. 5:
 
 :func:`keyswitch` runs the GEMM-form engine of :mod:`.plan` (one batched
 BConv matmul for ModUp, one lazy-reduction einsum for the IP, one native
-Recover Limbs); :func:`keyswitch_loop` keeps the per-digit reference
-pipeline with its object-dtype CRT recomposition.  Both are bit-identical.
+Recover Limbs).  :mod:`repro.ckks.reference` checks it bit for bit
+against the per-digit pipeline with an object-dtype CRT recomposition.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from ...math.polynomial import RnsPolynomial
-from ...math.rns import bconv_approx_eager
 from ..keys import KeySwitchKey
 from ..params import CkksParameters
-from . import hybrid
 from . import plan as _plan
 from .plan import (  # noqa: F401  (re-exported under their historical names)
     KlssBoundError,
@@ -66,69 +62,10 @@ def keyswitch(
 ) -> Tuple[RnsPolynomial, RnsPolynomial]:
     """KLSS key switch of `poly`; same contract as :func:`hybrid.keyswitch`.
 
-    Runs the batched GEMM pipeline; bit-identical to
-    :func:`keyswitch_loop`.
+    Runs the batched GEMM pipeline.
     """
     level = len(poly.basis) - 1
     if params.klss is None:
         raise ValueError("parameters carry no KLSS configuration")
     ks_plan = _plan.get_keyswitch_plan(ksk, params, level, "klss")
     return _plan.gemm_keyswitch(poly, ks_plan)
-
-
-def keyswitch_loop(
-    poly: RnsPolynomial, ksk: KeySwitchKey, params: CkksParameters
-) -> Tuple[RnsPolynomial, RnsPolynomial]:
-    """The per-digit reference pipeline (kept for differential testing).
-
-    This is the pre-GEMM dataflow: one eagerly-reduced BConv and NTT per
-    digit, a nested per-limb ``multiply``/``add`` inner product with a full
-    Barrett reduction per step, and an object-dtype CRT recomposition in
-    Recover Limbs.  Bit-identical to :func:`keyswitch`.
-    """
-    level = len(poly.basis) - 1
-    key = decompose_key(ksk, params, level)
-    t_basis = key.t_basis
-    degree = poly.degree
-
-    # Step 1 + 2: Mod Up into R_T, then NTT.
-    raised: List[RnsPolynomial] = []
-    for digit in hybrid.decompose_digits(poly, params):
-        limbs = bconv_approx_eager(digit.limbs, digit.basis, t_basis)
-        raised.append(
-            RnsPolynomial(degree, t_basis, limbs, is_ntt=False).to_ntt()
-        )
-
-    # Step 3: Inner Product over R_T (beta~ accumulator pairs).
-    acc = [
-        (
-            RnsPolynomial.zero(degree, t_basis, is_ntt=True),
-            RnsPolynomial.zero(degree, t_basis, is_ntt=True),
-        )
-        for _ in range(key.beta_tilde)
-    ]
-    for i in range(key.beta_tilde):
-        acc_b, acc_a = acc[i]
-        for j, digit in enumerate(raised):
-            evk_b, evk_a = key.digit_pairs[i][j]
-            acc_b = acc_b.add(digit.multiply(evk_b))
-            acc_a = acc_a.add(digit.multiply(evk_a))
-        acc[i] = (acc_b, acc_a)
-
-    # Step 4 + 5: INTT, then Recover Limbs back into R_PQ.
-    pq = key.pq_basis
-    out_shape = poly.batch_shape + (degree,)
-    sum_b = np.zeros(out_shape, dtype=object)
-    sum_a = np.zeros(out_shape, dtype=object)
-    for (acc_b, acc_a), g_hat in zip(acc, key.gadget_factors):
-        r_b = t_basis.compose_signed(acc_b.from_ntt().limbs)
-        r_a = t_basis.compose_signed(acc_a.from_ntt().limbs)
-        sum_b += r_b * g_hat
-        sum_a += r_a * g_hat
-    recovered_b = RnsPolynomial(degree, pq, pq.decompose(sum_b), is_ntt=False)
-    recovered_a = RnsPolynomial(degree, pq, pq.decompose(sum_a), is_ntt=False)
-
-    # Step 6: Mod Down by P.
-    p0 = hybrid.mod_down(recovered_b, params, level, bconv=bconv_approx_eager)
-    p1 = hybrid.mod_down(recovered_a, params, level, bconv=bconv_approx_eager)
-    return p0, p1

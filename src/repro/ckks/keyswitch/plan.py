@@ -5,10 +5,10 @@ BConv and the Inner Product -- as data-reusing matrix multiplications.
 This module is the functional-backend implementation of that idea:
 
 * :class:`KeySwitchPlan` precomputes, once per ``(key, params, level,
-  method, backend)``, everything the loop forms recompute per call: the
-  gadget-decomposed evk stacked into one NTT-domain tensor, the BConv
-  conversion matrices (with zero-padded short digits so every digit rides
-  the same GEMM), the ModDown inverses, and the KLSS Recover-Limbs
+  method, backend)``, everything a per-digit pipeline recomputes per
+  call: the gadget-decomposed evk stacked into one NTT-domain tensor, the
+  BConv conversion matrices (with zero-padded short digits so every digit
+  rides the same GEMM), the ModDown inverses, and the KLSS Recover-Limbs
   constants.
 * :func:`gemm_keyswitch` runs the whole pipeline on the contiguous limb
   stack: one batched BConv matmul for ModUp (Algorithm 2), one
@@ -16,8 +16,9 @@ This module is the functional-backend implementation of that idea:
   lazy-reduction multiply-accumulate for the IP (Algorithm 4 -- 128-bit
   accumulation via :meth:`~repro.math.modstack.ModulusStack.lazy_mul_sum`),
   one batched INTT, and a native Recover Limbs / ModDown.  Outputs are
-  bit-identical to the per-digit loop forms in :mod:`hybrid` and
-  :mod:`klss` -- every step computes the same exact value modulo each limb.
+  bit-identical to the per-digit reference pipeline of
+  :mod:`repro.ckks.reference` -- every step computes the same exact value
+  modulo each limb.
 
 Plans live in a bounded LRU cache keyed by the *params fingerprint* plus
 the key's identity token -- never stashed on the key object itself, so a
@@ -276,7 +277,7 @@ class KeySwitchPlan:
             )
             for b, a in ksk.pairs[: self.beta]
         ]
-        #: Per-digit NTT pairs for the loop form / hoisted rotations.
+        #: Per-digit NTT pairs, read by the reference key switch.
         self.key_pairs = restricted
         evk = np.empty(
             (len(pq), 2, self.beta, self.degree), dtype=self.pq_mstack.dtype
@@ -496,11 +497,10 @@ def gemm_keyswitch(
 ) -> Tuple[RnsPolynomial, RnsPolynomial]:
     """Key switch `poly` through the plan's batched GEMM pipeline.
 
-    Bit-identical to the corresponding loop form (`hybrid.keyswitch_loop`
-    / `klss.keyswitch_loop`): ModUp sums the same scaled residues modulo
-    each target limb, the NTT stages are the same vectorised butterflies,
-    the lazy IP computes the exact sum, and Recover Limbs/ModDown use the
-    same constants.
+    Bit-identical to :func:`repro.ckks.reference.keyswitch`: ModUp sums
+    the same scaled residues modulo each target limb, the NTT is exact, the
+    lazy IP computes the exact sum, and Recover Limbs/ModDown compute the
+    same exact values.
     """
     with _span("keyswitch.gemm", category="keyswitch",
                method=plan.method, level=plan.level):
@@ -642,7 +642,7 @@ def _rotation_ip(raised: np.ndarray, rplan: HoistedRotationPlan) -> np.ndarray:
     `raised` is the ModUp'd digit stack ``(L, k, beta, N)`` over PQ
     (hybrid) or T (KLSS); returns the ``(L_Q, 2, k, N)`` key-switched
     output stack in coefficient form.  Exact sums modulo each limb at
-    every step, so the result is bit-identical to k per-rotation loop
+    every step, so the result is bit-identical to k per-rotation reference
     key switches.
     """
     plan = rplan.ks
@@ -680,10 +680,10 @@ def hoisted_gemm_rotations(
     The hoisted dataflow: decompose + ModUp once, then every rotation is
     a gathered permutation of the raised digits, one slice of the batched
     IP, and one slice of the batched ModDown.  Bit-identical to the
-    hoisted *loop* form (:class:`~repro.ckks.hoisting.HoistedRotator`):
-    the gather applies the same signed permutation, BConv/IP/ModDown
-    compute the same exact sums modulo each limb, and NTT-domain
-    accumulation commutes with the (linear) NTT.
+    hoisted form of :func:`repro.ckks.reference.keyswitch`: the gather
+    applies the same signed permutation, BConv/IP/ModDown compute the same
+    exact sums modulo each limb, and NTT-domain accumulation commutes with
+    the (linear) NTT.
     """
     plan = hplan.ks
     with _span("keyswitch.hoisted_rotations", category="keyswitch",

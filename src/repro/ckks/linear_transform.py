@@ -14,20 +14,16 @@ to roughly ``2 * sqrt(#diags)``:
 This module turns a complex ``slots x slots`` matrix into encoded diagonal
 plaintexts and applies it to a ciphertext with an :class:`Evaluator`.
 
-Two appliers share the BSGS schedule:
-
-* the **plan path** (GEMM-form evaluators) compiles the transform into a
-  :class:`LinearTransformPlan`: baby rotations off ONE hoisted ModUp via
-  :func:`~repro.ckks.keyswitch.plan.hoisted_gemm_rotations`, all
-  ``(g, b)`` plaintext products and the inner sums as one NTT-domain
-  lazily-reduced einsum, giant rotations as one
-  :func:`~repro.ckks.keyswitch.plan.gemm_rotation_batch`, and the final
-  Rescale folded into the accumulation epilogue
-  (:meth:`~repro.math.modstack.ModulusStack.divide_exact_drop`).
-* the **loop path** (``*-loop`` evaluators) keeps per-rotation, per-term
-  evaluator calls -- the bit-identical differential baseline (babies are
-  hoisted through the loop-form :class:`~repro.ckks.hoisting.HoistedRotator`
-  so both paths share the hoisted dataflow).
+:meth:`LinearTransform.apply` compiles the transform into a
+:class:`LinearTransformPlan`: baby rotations off ONE hoisted ModUp via
+:func:`~repro.ckks.keyswitch.plan.hoisted_gemm_rotations`, all ``(g, b)``
+plaintext products and the inner sums as one NTT-domain lazily-reduced
+einsum, giant rotations as one
+:func:`~repro.ckks.keyswitch.plan.gemm_rotation_batch`, and the final
+Rescale folded into the accumulation epilogue
+(:meth:`~repro.math.modstack.ModulusStack.divide_exact_drop`).  It is
+checked bit for bit against :func:`repro.ckks.reference.linear_transform`,
+which applies the same BSGS schedule term by term.
 
 Encoded diagonal plaintexts are cached per ``(level, scale)`` -- the
 bootstrap pipeline applies the same transform at the same level on every
@@ -49,7 +45,6 @@ from ..math.polynomial import RnsPolynomial
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
 from .evaluator import Evaluator
-from .hoisting import HoistedRotator, _base_method
 from .keys import rotation_galois_power
 from .keyswitch import plan as _ksplan
 
@@ -89,7 +84,7 @@ class LinearTransformPlan:
                 f"cannot apply at level {level}"
             )
         params = evaluator.params
-        method = _base_method(evaluator.method)
+        method = evaluator.method
         if evaluator.galois_keys is None:
             raise ValueError("no Galois keys configured")
         self.params = params
@@ -127,7 +122,7 @@ class LinearTransformPlan:
         # Diagonal plaintexts, encoded once per level and stacked into one
         # NTT-domain tensor; absent (g, b) slots stay exact zeros, which
         # contribute exact-zero products to the inner einsum (bit-identical
-        # to the loop path simply skipping those terms).
+        # to skipping those terms).
         pts = lt._encoded_diagonals(level)
         self.pt_scale = next(iter(pts.values())).scale
         ptt = self.mq.zeros(
@@ -268,8 +263,8 @@ class LinearTransform:
     ) -> Dict[Tuple[int, int], Plaintext]:
         """Every diagonal encoded at (`level`, `scale`), cached.
 
-        Both appliers draw from this cache, so a second application at the
-        same level performs zero re-encodes.
+        Compiled plans and the reference applier draw from this cache, so
+        a second application at the same level performs zero re-encodes.
         """
         key = (level, scale)
         cached = self._pt_cache.get(key)
@@ -287,14 +282,13 @@ class LinearTransform:
         return cached
 
     def _compiled(self, evaluator: Evaluator, level: int) -> LinearTransformPlan:
-        base = _base_method(evaluator.method)
         tokens = tuple(
             evaluator.galois_keys.get(rotation_galois_power(s, evaluator.params.degree)).cache_token
             for s in self.required_rotations()
         ) if evaluator.galois_keys is not None else ()
         key = (
             level,
-            base,
+            evaluator.method,
             evaluator.params.fingerprint(),
             tokens,
             modarith._BARRETT_ENABLED,
@@ -306,44 +300,11 @@ class LinearTransform:
         return plan
 
     def apply(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
-        """Homomorphically compute ``M z`` (one level consumed).
-
-        GEMM-form evaluators run the compiled :class:`LinearTransformPlan`;
-        ``*-loop`` evaluators run the bit-identical per-term loop baseline.
-        """
+        """Homomorphically compute ``M z`` (one level consumed) through the
+        compiled :class:`LinearTransformPlan`."""
         if ct.c2 is not None:
             raise ValueError("linear transform requires a relinearised ciphertext")
-        if evaluator.method.endswith("-loop"):
-            return self.apply_loop(evaluator, ct)
         return self._compiled(evaluator, ct.level).run(ct)
-
-    def apply_loop(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
-        """The per-rotation, per-term reference applier.
-
-        Babies come off one hoisted ModUp (loop form), every ``(g, b)``
-        product is an evaluator ``multiply_plain``/``add``, giants are
-        individual ``rotate`` calls, and the Rescale is a standalone
-        evaluator op.  Bit-identical to the plan path.
-        """
-        level = ct.level
-        pts = self._encoded_diagonals(level)
-        baby_steps = [b for plan in self._plan.values() for b in plan]
-        rotator = HoistedRotator(
-            ct, evaluator.params, method=_base_method(evaluator.method)
-        )
-        baby_rotations: Dict[int, Ciphertext] = {}
-        for b in sorted(set(baby_steps)):
-            baby_rotations[b] = rotator.rotate(b, evaluator.galois_keys)
-        outer: Optional[Ciphertext] = None
-        for g, plan in sorted(self._plan.items()):
-            inner: Optional[Ciphertext] = None
-            for b in sorted(plan):
-                term = evaluator.multiply_plain(baby_rotations[b], pts[(g, b)])
-                inner = term if inner is None else evaluator.add(inner, term)
-            if g:
-                inner = evaluator.rotate(inner, g * self.baby)
-            outer = inner if outer is None else evaluator.add(outer, inner)
-        return evaluator.rescale(outer)
 
 
 def identity_transform(encoder: CkksEncoder) -> LinearTransform:

@@ -11,10 +11,9 @@ Usage::
     python -m repro serve --gpus 4 --workload overload  # fleet serving report
     python -m repro metrics             # metrics snapshot of a serve run
     python -m repro trace req-0         # one request's span tree
-    python -m repro bench keyswitch     # loop vs GEMM key-switch timings
-    python -m repro bench bootstrap     # loop vs op-plan bootstrap timings
+    python -m repro bench serving       # continuous batching vs serial
     python -m repro bench fleet         # fleet scaling vs one device
-    python -m repro bench keyswitch --record   # append to BENCH_keyswitch.json
+    python -m repro bench serving --record     # append to BENCH_serving.json
 """
 
 from __future__ import annotations
@@ -579,223 +578,20 @@ def _bench_finish(args, name: str, metrics, meta) -> int:
 
 
 def cmd_bench(args) -> int:
-    import time
-
-    import numpy as np
-
-    from .ckks.keys import KeyGenerator
-    from .ckks.keyswitch import hybrid, klss
-    from .ckks.keyswitch import plan as ksplan
-    from .ckks.params import CkksParameters
-    from .math.polynomial import RnsPolynomial
-
-    if args.kernel not in (
-        "keyswitch", "bootstrap", "serving", "fleet", "autotune"
-    ):
+    runners = {
+        "serving": _bench_serving,
+        "fleet": _bench_fleet,
+        "autotune": _bench_autotune,
+    }
+    runner = runners.get(args.kernel)
+    if runner is None:
         print(
             f"unknown bench kernel {args.kernel!r}; "
-            "choose from: keyswitch, bootstrap, serving, fleet, autotune",
+            f"choose from: {', '.join(runners)}",
             file=sys.stderr,
         )
         return 2
-    # The serving-layer and autotune benches run entirely on the modeled
-    # clock and take workload/gpus/device knobs, not ring parameters --
-    # dispatch before the keyswitch-specific degree/dnum validation below.
-    if args.kernel == "serving":
-        return _bench_serving(args)
-    if args.kernel == "fleet":
-        return _bench_fleet(args)
-    if args.kernel == "autotune":
-        return _bench_autotune(args)
-    # Kernel-specific defaults: the functional bootstrap pipeline is far
-    # heavier per invocation than one key switch, and needs a longer chain.
-    if args.degree is None:
-        args.degree = 32 if args.kernel == "bootstrap" else 1024
-    if args.dnum is None:
-        args.dnum = 4 if args.kernel == "bootstrap" else 2
-    if args.degree < 8 or args.degree & (args.degree - 1):
-        print(f"--degree must be a power of two >= 8, got {args.degree}",
-              file=sys.stderr)
-        return 2
-    if args.dnum < 1 or args.repeats < 1:
-        print("--dnum and --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.kernel == "bootstrap":
-        return _bench_bootstrap(args)
-    try:
-        params = CkksParameters(
-            degree=args.degree,
-            max_level=2 * args.dnum - 1,
-            wordsize=args.wordsize,
-            dnum=args.dnum,
-            klss=KlssConfig(wordsize_t=args.wordsize + 5, alpha_tilde=2),
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    gen = KeyGenerator(params, seed=args.seed)
-    ksk = gen.relinearisation_key(gen.secret_key())
-    rng = np.random.default_rng(args.seed)
-    basis = params.q_basis(params.max_level)
-    poly = RnsPolynomial(
-        args.degree,
-        basis,
-        [rng.integers(0, q, size=args.degree, dtype=np.uint64)
-         for q in basis.moduli],
-        is_ntt=False,
-    )
-
-    def best(fn):
-        t = float("inf")
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            fn()
-            t = min(t, time.perf_counter() - start)
-        return t
-
-    ksplan.clear_keyswitch_plan_cache()
-    rows = []
-    metrics = {}
-    for name, mod in (("hybrid", hybrid), ("klss", klss)):
-        mod.keyswitch(poly, ksk, params)  # warm the plan + NTT caches
-        mod.keyswitch_loop(poly, ksk, params)
-        t_loop = best(lambda: mod.keyswitch_loop(poly, ksk, params))
-        t_gemm = best(lambda: mod.keyswitch(poly, ksk, params))
-        rows.append(
-            [name, f"{t_loop * 1e3:.2f}", f"{t_gemm * 1e3:.2f}",
-             f"{t_loop / t_gemm:.2f}x"]
-        )
-        metrics[f"{name}_loop_ms"] = t_loop * 1e3
-        metrics[f"{name}_gemm_ms"] = t_gemm * 1e3
-        metrics[f"{name}_speedup"] = t_loop / t_gemm
-    _print(
-        format_table(
-            ["method", "loop ms", "gemm ms", "speedup"],
-            rows,
-            title=(
-                f"KeySwitch loop vs GEMM (N=2^{params.log_degree}, "
-                f"WS={args.wordsize}, dnum={args.dnum}, "
-                f"l={params.max_level})"
-            ),
-        )
-    )
-    stats = ksplan.keyswitch_plan_cache_stats()
-    _print(
-        "plan cache: "
-        f"{stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['evictions']} evictions "
-        f"(hit rate {stats['hit_rate'] * 100:.0f}%, "
-        f"{ksplan.keyswitch_plan_cache_size()} plans resident)"
-    )
-    return _bench_finish(
-        args, "keyswitch", metrics,
-        meta={
-            "degree": args.degree, "wordsize": args.wordsize,
-            "dnum": args.dnum, "repeats": args.repeats,
-        },
-    )
-
-
-def _bench_bootstrap(args) -> int:
-    """Time the full functional bootstrap: op-plan path vs loop path."""
-    import time
-
-    import numpy as np
-
-    from .ckks import (
-        CkksEncoder,
-        CkksParameters,
-        Encryptor,
-        Evaluator,
-        KeyGenerator,
-    )
-    from .ckks.bootstrap import Bootstrapper
-    from .ckks.keys import conjugation_galois_power
-    from .ckks.keyswitch import plan as ksplan
-
-    try:
-        params = CkksParameters(
-            degree=args.degree,
-            max_level=3 * args.dnum,
-            wordsize=args.wordsize,
-            dnum=args.dnum,
-            first_prime_bits=args.wordsize + 2,
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    gen = KeyGenerator(params, seed=args.seed)
-    sk = gen.secret_key(hamming_weight=1)
-    encoder = CkksEncoder(params)
-    encryptor = Encryptor(params, public_key=gen.public_key(sk), seed=args.seed + 1)
-    relin = gen.relinearisation_key(sk)
-    # One shared key set: key generation is randomized, so separate keys
-    # would (correctly) break the bit-identity check below.
-    ev_plan = Evaluator(params, relin_key=relin, method="hybrid")
-    ev_loop = Evaluator(params, relin_key=relin, method="hybrid-loop")
-    boot_plan = Bootstrapper(params, encoder, ev_plan)
-    boot_loop = Bootstrapper(params, encoder, ev_loop)
-    galois = gen.rotation_keys(sk, boot_plan.required_rotations())
-    conj = conjugation_galois_power(params.degree)
-    galois.add(conj, gen.galois_key(sk, conj))
-    ev_plan.galois_keys = galois
-    ev_loop.galois_keys = galois
-
-    rng = np.random.default_rng(args.seed)
-    v = np.clip(0.3 * rng.normal(size=params.slots), -0.8, 0.8)
-    ct = encryptor.encrypt(encoder.encode(v, level=0))
-
-    def best(fn):
-        t = float("inf")
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            fn()
-            t = min(t, time.perf_counter() - start)
-        return t
-
-    ksplan.clear_keyswitch_plan_cache()
-    # Warm runs compile the op plans / encode the diagonals, and feed the
-    # bit-identity check.
-    out_plan = boot_plan.bootstrap(ct)
-    out_loop = boot_loop.bootstrap(ct)
-    identical = all(
-        np.array_equal(a.from_ntt().limb_stack(), b.from_ntt().limb_stack())
-        for a, b in ((out_plan.c0, out_loop.c0), (out_plan.c1, out_loop.c1))
-    )
-    t_plan = best(lambda: boot_plan.bootstrap(ct))
-    t_loop = best(lambda: boot_loop.bootstrap(ct))
-    _print(
-        format_table(
-            ["method", "loop ms", "plan ms", "speedup", "bit-identical"],
-            [["hybrid", f"{t_loop * 1e3:.1f}", f"{t_plan * 1e3:.1f}",
-              f"{t_loop / t_plan:.2f}x", str(identical)]],
-            title=(
-                f"Bootstrap loop vs GEMM plan (N=2^{params.log_degree}, "
-                f"WS={args.wordsize}, dnum={args.dnum}, L={params.max_level})"
-            ),
-        )
-    )
-    stats = ksplan.keyswitch_plan_cache_stats()
-    _print(
-        "plan cache: "
-        f"{stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['evictions']} evictions "
-        f"(hit rate {stats['hit_rate'] * 100:.0f}%, "
-        f"{ksplan.keyswitch_plan_cache_size()} plans resident)"
-    )
-    bench_rc = _bench_finish(
-        args, "bootstrap",
-        {
-            "loop_ms": t_loop * 1e3,
-            "plan_ms": t_plan * 1e3,
-            "speedup": t_loop / t_plan,
-        },
-        meta={
-            "degree": args.degree, "wordsize": args.wordsize,
-            "dnum": args.dnum, "repeats": args.repeats,
-        },
-    )
-    return (0 if identical else 1) or bench_rc
+    return runner(args)
 
 
 def _bench_serving(args) -> int:
@@ -1160,11 +956,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.set_defaults(func=cmd_trace)
     bench = sub.add_parser(
-        "bench", help="time a functional kernel (loop form vs GEMM form)"
+        "bench", help="benchmark serving, fleet scaling or the autotuner"
     )
     bench.add_argument(
-        "kernel",
-        help="benchmark to run: keyswitch, bootstrap, serving, fleet, autotune",
+        "kernel", help="benchmark to run: serving, fleet, autotune"
     )
     bench.add_argument(
         "--device", default="a100",
@@ -1178,20 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--gpus", type=int, default=4,
         help="fleet size for the fleet bench (default 4)",
-    )
-    bench.add_argument(
-        "--degree", type=int, default=None,
-        help="ring degree N (default: 1024 for keyswitch, 32 for bootstrap)",
-    )
-    bench.add_argument(
-        "--wordsize", type=int, default=25, help="limb bits (default 25)"
-    )
-    bench.add_argument(
-        "--dnum", type=int, default=None,
-        help="digit count (default: 2 for keyswitch, 4 for bootstrap)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="best-of repeats (default 3)"
     )
     bench.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     bench.add_argument(

@@ -6,8 +6,7 @@ Two layers:
   KLSS ``(dnum, alpha~, WordSize_T)`` grid by KeySwitch time.  The sweep
   shares one :class:`~repro.core.trace_cache.TraceCache` and the memoised
   kernel-cost builders across all grid points and reports the cache hit
-  rates per result; ``cold_sweep=True`` restores the old
-  rebuild-everything-per-point behaviour as a baseline.
+  rates per result.
 
 * :func:`tune_app` -- the multi-dimensional search the ROADMAP asks for:
   WordSize_T, dnum/alpha~, the key-switch method, the NTT engine
@@ -64,7 +63,7 @@ def _builder_cache_counts() -> Tuple[int, int]:
 
 
 def clear_cost_builder_caches() -> None:
-    """Drop the kernel-cost builder memos (the cold-sweep baseline)."""
+    """Drop the kernel-cost builder memos (cold-cache measurements)."""
     for builder in _COST_BUILDERS:
         builder.cache_clear()
 
@@ -105,7 +104,6 @@ def tune_keyswitch(
     wordsizes_t: Sequence[int] = (36, 48, 64),
     device: DeviceSpec = A100,
     config: PipelineConfig = NEO_CONFIG,
-    cold_sweep: bool = False,
     trace_cache: Optional[TraceCache] = None,
 ) -> List[TuningResult]:
     """Exhaustively evaluate the KLSS hyper-parameter grid.
@@ -117,8 +115,6 @@ def tune_keyswitch(
     shared across the whole sweep, so a kernel shape two grid points have
     in common -- e.g. the final ModDown/NTT over the unchanged Q basis --
     is priced once; each result reports the hits/misses its point saw.
-    ``cold_sweep=True`` keeps the old behaviour as a measurable baseline:
-    every point gets a fresh empty cache and cleared builder memos.
     """
     level = base.max_level if level is None else level
     cache = trace_cache if trace_cache is not None else TraceCache()
@@ -139,19 +135,14 @@ def tune_keyswitch(
                     continue
                 if alpha_prime < 2:
                     continue
-                if cold_sweep:
-                    clear_cost_builder_caches()
-                    point_cache = TraceCache(maxsize=0)
-                else:
-                    point_cache = cache
                 hits0, misses0 = _builder_cache_counts()
-                trace0 = point_cache.stats.snapshot()
+                trace0 = cache.stats.snapshot()
                 ctx = NeoContext(
-                    params, device=device, config=config, trace_cache=point_cache
+                    params, device=device, config=config, trace_cache=cache
                 )
                 keyswitch_us = ctx.keyswitch_time_us(level)
                 hits1, misses1 = _builder_cache_counts()
-                trace1 = point_cache.stats.snapshot()
+                trace1 = cache.stats.snapshot()
                 results.append(
                     TuningResult(
                         dnum=dnum,

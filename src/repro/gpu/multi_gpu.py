@@ -22,10 +22,6 @@ assumption:
   Rescale, Mod Down fix-up) are limb-local: after the digit exchange each
   GPU holds exactly the limbs it reads, and evaluation keys are resident
   (replicated, or sharded limb-aligned), so no bytes cross the link.
-
-The old "every kernel redistributes ``(G-1)/G`` of its input" formula is
-kept as the ``uniform_exchange`` baseline; the plan-aware model is strictly
-cheaper on any real trace (see ``tests/gpu/test_multi_gpu.py``).
 """
 
 from __future__ import annotations
@@ -59,9 +55,6 @@ PCIE4 = Interconnect(name="PCIe4 x16", bandwidth_gbs=32.0, latency_us=15.0)
 #: Kernel classes whose dataflow mixes limbs and therefore exchanges shards
 #: under limb partitioning.  Everything else is limb-local.
 EXCHANGE_KERNELS = frozenset({"ntt", "intt", "bconv"})
-
-#: Exchange models accepted by :class:`MultiGpuModel`.
-EXCHANGE_MODELS = ("plan", "uniform_exchange")
 
 #: Cached G=1 reference times keyed by (device, frozen trace, streams).
 #: ``speedup`` / ``scaling_efficiency`` are called repeatedly on the same
@@ -97,13 +90,10 @@ class MultiGpuModel:
     """Time a trace across `gpus` limb-sharded devices.
 
     Model: compute and local memory traffic divide evenly across GPUs.
-    Interconnect traffic is priced per kernel from the op plans (`"plan"`,
-    the default): only the transpose-like exchange stages (NTT four-step /
-    radix-16 all-to-all, BConv reduce-scatter) move ``(G-1)/G`` of their
-    working set across the links, plus one synchronisation latency per
-    exchanging kernel launch.  The `"uniform_exchange"` baseline keeps the
-    old assumption that *every* kernel redistributes ``(G-1)/G`` of its
-    input and pays the sync latency.
+    Interconnect traffic is priced per kernel from the op plans: only the
+    transpose-like exchange stages (NTT four-step / radix-16 all-to-all,
+    BConv reduce-scatter) move ``(G-1)/G`` of their working set across the
+    links, plus one synchronisation latency per exchanging kernel launch.
 
     Communication overlaps with compute only partially: the makespan is the
     longer of the two plus ``(1 - overlap)`` of the shorter (``overlap``
@@ -115,40 +105,27 @@ class MultiGpuModel:
         gpus: int,
         device: DeviceSpec = A100,
         interconnect: Interconnect = NVLINK3,
-        exchange: str = "plan",
         overlap: float = 0.5,
     ):
         if gpus < 1:
             raise ValueError("need at least one GPU")
-        if exchange not in EXCHANGE_MODELS:
-            raise ValueError(
-                f"unknown exchange model {exchange!r}; "
-                f"choose from {', '.join(EXCHANGE_MODELS)}"
-            )
         if not 0.0 <= overlap <= 1.0:
             raise ValueError(f"overlap must be in [0, 1], got {overlap}")
         self.gpus = gpus
         self.device = device
         self.interconnect = interconnect
-        self.exchange = exchange
         self.overlap = overlap
 
     # -- interconnect traffic -----------------------------------------------------
 
     def _event_exchange_bytes(self, event) -> float:
         """Total link bytes (summed over all GPUs) one kernel exchanges."""
-        if self.gpus == 1:
-            return 0.0
-        share = (self.gpus - 1) / self.gpus
-        if self.exchange == "uniform_exchange":
-            return event.bytes_read * share
-        name = event.name.lower()
-        if name not in EXCHANGE_KERNELS:
+        if self.gpus == 1 or event.name.lower() not in EXCHANGE_KERNELS:
             return 0.0
         # The all-to-all / reduce-scatter moves the kernel's output working
         # set once; bytes_written is that working set (for the NTT it equals
         # the input: the transform is in place size-wise).
-        return event.bytes_written * share
+        return event.bytes_written * ((self.gpus - 1) / self.gpus)
 
     def exchange_bytes_by_kernel(self, trace: ExecutionTrace) -> Dict[str, float]:
         """Total interconnect bytes per kernel name (zero for local stages)."""
@@ -164,8 +141,6 @@ class MultiGpuModel:
 
     def _sync_launches(self, trace: ExecutionTrace) -> float:
         """Kernel launches that carry an interconnect synchronisation."""
-        if self.exchange == "uniform_exchange":
-            return sum(e.launches for e in trace.events)
         return sum(
             e.launches
             for e in trace.events

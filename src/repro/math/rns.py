@@ -90,32 +90,21 @@ class RnsBasis:
         return modarith.to_signed(self.compose(limbs), self.product)
 
 
-#: (from moduli, to moduli) -> per-target Shoup tables for the BConv matrix
-#: ``B[j, i] = q_hat_i mod p_j``: ``(B, shoup(B))`` as ``(Lt, Lf)`` uint64.
-_BCONV_TABLE_CACHE: Dict[
-    Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[np.ndarray, np.ndarray]
-] = {}
+#: (from moduli, to moduli) -> the BConv matrix ``B[j, i] = q_hat_i mod p_j``
+#: as an ``(Lt, Lf)`` uint64 table.
+_BCONV_TABLE_CACHE: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray] = {}
 
 
-def _bconv_tables(
-    from_basis: RnsBasis, to_basis: RnsBasis
-) -> Tuple[np.ndarray, np.ndarray]:
+def _bconv_table(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
     key = (from_basis.moduli, to_basis.moduli)
-    tables = _BCONV_TABLE_CACHE.get(key)
-    if tables is None:
-        weights = [
-            [q_hat % p for q_hat in from_basis.q_hat] for p in to_basis.moduli
-        ]
-        shoup = [
-            [modarith.shoup_precompute(w, p) for w in row]
-            for row, p in zip(weights, to_basis.moduli)
-        ]
-        tables = (
-            np.array(weights, dtype=np.uint64),
-            np.array(shoup, dtype=np.uint64),
+    table = _BCONV_TABLE_CACHE.get(key)
+    if table is None:
+        table = np.array(
+            [[q_hat % p for q_hat in from_basis.q_hat] for p in to_basis.moduli],
+            dtype=np.uint64,
         )
-        _BCONV_TABLE_CACHE[key] = tables
-    return tables
+        _BCONV_TABLE_CACHE[key] = table
+    return table
 
 
 def bconv_approx(
@@ -129,30 +118,12 @@ def bconv_approx(
     multiply-accumulates -- the poor-data-reuse pattern Neo rewrites as GEMM.
 
     When every modulus on both sides is native the whole conversion stays
-    on ``uint64``: the scaled residues stack into an ``(Lf, ..., N)`` tensor,
-    each target limb reduces it once, Shoup-multiplies by its row of the
-    BConv matrix, and folds the limb axis with chunked accumulation.
+    on ``uint64``: the scaled residues stack into an ``(Lf, ..., N)`` tensor
+    and one lazily-reduced GEMM against the BConv matrix converts it.
     """
     scaled, native = _scaled_residues(limbs, from_basis, to_basis)
     if native:
         return _bconv_approx_native(np.stack(scaled), from_basis, to_basis)
-    return _bconv_approx_object(scaled, from_basis, to_basis)
-
-
-def bconv_approx_eager(
-    limbs: Sequence[np.ndarray], from_basis: RnsBasis, to_basis: RnsBasis
-) -> List[np.ndarray]:
-    """:func:`bconv_approx` with eager per-step reduction (the pre-GEMM path).
-
-    Value-identical to :func:`bconv_approx` -- both compute the exact sum
-    of scaled residues modulo each target limb -- but reduces after (almost)
-    every multiply-accumulate instead of deferring to one reduction per
-    accumulator.  Kept as the loop-form baseline that the GEMM key-switch
-    benchmarks race against.
-    """
-    scaled, native = _scaled_residues(limbs, from_basis, to_basis)
-    if native:
-        return _bconv_approx_native_eager(np.stack(scaled), from_basis, to_basis)
     return _bconv_approx_object(scaled, from_basis, to_basis)
 
 
@@ -176,7 +147,7 @@ def _scaled_residues(
 def _bconv_approx_object(
     scaled: List[np.ndarray], from_basis: RnsBasis, to_basis: RnsBasis
 ) -> List[np.ndarray]:
-    """Exact object-dtype fallback shared by both conversion spellings."""
+    """Exact object-dtype fallback for non-native moduli."""
     out: List[np.ndarray] = []
     scaled = [np.asarray(y, dtype=object) for y in scaled]
     for p in to_basis.moduli:
@@ -194,43 +165,14 @@ def _bconv_approx_native(
 
     One lazy-reduced GEMM against the precomputed conversion matrix
     (:meth:`~repro.math.modstack.ModulusStack.bconv_matmul`, the paper's
-    Algorithm 2) replaces the per-target-limb Shoup loop; the result is
-    value-identical because both compute the exact sum modulo each target.
+    Algorithm 2): the exact sum of scaled residues modulo each target.
     """
-    weights, _ = _bconv_tables(from_basis, to_basis)
+    weights = _bconv_table(from_basis, to_basis)
     mstack = ModulusStack.for_moduli(to_basis.moduli)
     out = mstack.bconv_matmul(
         scaled, weights, operand_bound=max(from_basis.moduli)
     )
     return list(out)
-
-
-def _bconv_approx_native_eager(
-    scaled: np.ndarray, from_basis: RnsBasis, to_basis: RnsBasis
-) -> List[np.ndarray]:
-    """The seed's per-target-limb BConv over a stacked ``(Lf, ..., N)``.
-
-    Each target limb reduces the whole stack, Shoup-multiplies by its row
-    of the conversion matrix, and folds the limb axis with a full Barrett
-    reduction every three terms -- the eager dataflow the GEMM replaces.
-    """
-    weights, shoups = _bconv_tables(from_basis, to_basis)
-    cols = (len(from_basis),) + (1,) * (scaled.ndim - 1)
-    out: List[np.ndarray] = []
-    for j, p in enumerate(to_basis.moduli):
-        p64 = np.uint64(p)
-        reduced = scaled % p64
-        terms = modarith.shoup_mul_mod(
-            reduced, weights[j].reshape(cols), shoups[j].reshape(cols), p64
-        )
-        # Accumulate the limb axis three terms at a time: acc < p plus three
-        # summands below p keeps the running total under 4p <= 2**64 - 4.
-        acc = np.zeros(scaled.shape[1:], dtype=np.uint64)
-        for start in range(0, terms.shape[0], 3):
-            chunk = terms[start : start + 3].sum(axis=0, dtype=np.uint64)
-            acc = (acc + chunk) % p64
-        out.append(acc)
-    return out
 
 
 def bconv_weights(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
@@ -241,7 +183,7 @@ def bconv_weights(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
     operand of Algorithm 2).  Native targets reuse the cached uint64 table.
     """
     if all(modarith.uses_native_backend(p) for p in to_basis.moduli):
-        return _bconv_tables(from_basis, to_basis)[0]
+        return _bconv_table(from_basis, to_basis)
     return np.array(
         [[q_hat % p for q_hat in from_basis.q_hat] for p in to_basis.moduli],
         dtype=object,

@@ -382,7 +382,6 @@ class MultiGpuServiceModel:
                 self.multi.gpus,
                 device=device,
                 interconnect=self.multi.interconnect,
-                exchange=self.multi.exchange,
                 overlap=self.multi.overlap,
             )
         return model

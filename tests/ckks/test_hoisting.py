@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ckks.hoisting import (
-    HoistedRotator,
-    hoisted_rotations,
-    hoisting_modup_savings,
-)
+from repro.ckks.hoisting import hoisted_rotations, hoisting_modup_savings
+from repro.ckks.keys import rotation_galois_power
+from repro.ckks.keyswitch import plan as ksplan
 
 from .conftest import random_slots
 
@@ -40,25 +38,34 @@ class TestHoistedRotations:
         got_n = encoder.decode(decryptor.decrypt(naive))
         assert np.abs(got_h - got_n).max() < 1e-3
 
-    def test_modup_happens_once(self, params, encrypted, keyset):
+    def test_modup_happens_once(self, params, encrypted, keyset, monkeypatch):
         _, ct = encrypted
-        rotator = HoistedRotator(ct, params)
-        raised_before = [r.limb_stack().copy() for r in rotator.raised]
-        rotator.rotate_many(STEPS, keyset["galois"])
-        # The shared raised digits are never mutated by rotations.
-        for before, poly in zip(raised_before, rotator.raised):
-            assert (before == poly.limb_stack()).all()
+        calls = []
+        modup = ksplan._modup_stack
 
-    def test_digit_count(self, params, encrypted):
+        def counting_modup(stack, plan):
+            calls.append(stack.shape)
+            return modup(stack, plan)
+
+        monkeypatch.setattr(ksplan, "_modup_stack", counting_modup)
+        hoisted_rotations(ct, STEPS, keyset["galois"], params)
+        # One ModUp of the single c1 stack serves every rotation.
+        assert calls == [ct.c1.stack.shape]
+
+    def test_digit_count(self, params, encrypted, keyset):
         _, ct = encrypted
-        rotator = HoistedRotator(ct, params)
-        assert len(rotator.raised) == params.beta(ct.level)
+        powers = tuple(rotation_galois_power(s, params.degree) for s in STEPS)
+        hplan = ksplan.get_hoisted_rotation_plan(
+            keyset["galois"], powers, params, ct.level, "hybrid"
+        )
+        assert hplan.ks.beta == params.beta(ct.level)
+        assert hplan.evk.shape[2:4] == (len(STEPS), params.beta(ct.level))
 
-    def test_rejects_unrelinearised(self, params, evaluator, encrypted):
+    def test_rejects_unrelinearised(self, params, keyset, evaluator, encrypted):
         _, ct = encrypted
         raw = evaluator.multiply(ct, ct, relinearise=False)
-        with pytest.raises(ValueError):
-            HoistedRotator(raw, params)
+        with pytest.raises(ValueError, match="relinearised"):
+            hoisted_rotations(raw, STEPS, keyset["galois"], params)
 
     def test_works_at_lower_level(
         self, params, keyset, encoder, decryptor, evaluator, encrypted
@@ -74,28 +81,23 @@ class TestIdentitySteps:
     """steps = 0 (or any multiple of the slot count) is the identity
     automorphism: no key switch, no Galois key lookup, same ciphertext."""
 
-    @pytest.mark.parametrize("engine", ["plan", "loop"])
-    def test_zero_and_slot_multiples_return_input(
-        self, params, keyset, encrypted, engine
-    ):
+    def test_zero_and_slot_multiples_return_input(self, params, keyset, encrypted):
         _, ct = encrypted
         steps = [0, params.slots, 2 * params.slots, -params.slots]
-        out = hoisted_rotations(ct, steps, keyset["galois"], params, engine=engine)
+        out = hoisted_rotations(ct, steps, keyset["galois"], params)
         for s in steps:
             assert out[s] is ct, s
 
-    @pytest.mark.parametrize("engine", ["plan", "loop"])
-    def test_identity_needs_no_galois_keys(self, params, encrypted, engine):
+    def test_identity_needs_no_galois_keys(self, params, encrypted):
         # No key for power 1 exists; the short circuit must never look.
         _, ct = encrypted
-        out = hoisted_rotations(ct, [0], None, params, engine=engine)
+        out = hoisted_rotations(ct, [0], None, params)
         assert out[0] is ct
 
-    def test_rotator_short_circuits(self, params, keyset, encrypted):
+    def test_rotator_short_circuits(self, params, evaluator, encrypted):
         _, ct = encrypted
-        rotator = HoistedRotator(ct, params)
-        assert rotator.rotate(0, keyset["galois"]) is ct
-        assert rotator.rotate(params.slots, keyset["galois"]) is ct
+        out = evaluator.rotate_many(ct, [0, params.slots])
+        assert out[0] is ct and out[params.slots] is ct
 
     def test_mixed_live_and_identity(self, params, keyset, encoder, decryptor,
                                      encrypted):
@@ -108,8 +110,6 @@ class TestIdentitySteps:
 
 class TestPlanCache:
     def test_repeat_rotations_hit_the_plan_cache(self, params, keyset, encrypted):
-        from repro.ckks.keyswitch import plan as ksplan
-
         _, ct = encrypted
         hoisted_rotations(ct, STEPS, keyset["galois"], params)  # build
         before = ksplan.keyswitch_plan_cache_stats()

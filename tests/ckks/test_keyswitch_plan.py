@@ -62,7 +62,7 @@ class TestStaleCacheRegression:
     def test_no_state_stashed_on_the_key(self):
         params, ksk = _key_and_params()
         klss.decompose_key(ksk, params, params.max_level)
-        hybrid._key_pairs_at_level(ksk, params, params.max_level)
+        plan.get_keyswitch_plan(ksk, params, params.max_level, "hybrid")
         assert not hasattr(ksk, "_klss_cache")
         assert not hasattr(ksk, "_hybrid_cache")
 

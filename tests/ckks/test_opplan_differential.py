@@ -1,14 +1,20 @@
-"""Differential tests: op-plan engines against their loop baselines.
+"""Differential tests: every GEMM path against the reference key switch.
 
 The op-plan compiler (:mod:`repro.ckks.keyswitch.plan`) promises *bit
-identity* with the per-digit loop forms -- exact modular sums are
-order-independent, so fusing k rotations into one GEMM must not change a
-single limb.  These tests pit the plan engines against the loop engines
-across both key-switch methods and the boundary levels (0, 1, max).
+identity* with the textbook per-digit loop pipeline of
+:mod:`repro.ckks.reference` -- exact modular sums are order-independent,
+so fusing digits, rotations and BSGS terms into GEMMs must not change a
+single limb.  These tests compare each shipped path with the reference
+across both key-switch methods and the boundary levels (0, 1, max); the
+bootstrap is pinned by golden stage digests.
 
-Every pipeline pair shares ONE key set: key generation is randomized, so
+Every comparison shares ONE key set: key generation is randomized, so
 separately generated keys would (correctly) break bit identity.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,69 +29,134 @@ from repro.ckks import (
     KlssConfig,
     small_test_parameters,
 )
+from repro.ckks import reference
 from repro.ckks.bootstrap import Bootstrapper
 from repro.ckks.hoisting import hoisted_rotations
-from repro.ckks.keys import conjugation_galois_power
+from repro.ckks.keys import conjugation_galois_power, sample_uniform
+from repro.ckks.keyswitch import hybrid, klss
 from repro.ckks.linear_transform import LinearTransform
 
 from .conftest import random_slots
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN_BOOTSTRAP = FIXTURE_DIR / "golden_bootstrap_digests.json"
+ENGINES = {"hybrid": hybrid, "klss": klss}
 
 
 def assert_ct_identical(a, b):
     """Every limb of both components equal, plus level and scale."""
     assert a.level == b.level
     assert a.scale == b.scale
-    for pa, pb in zip((a.c0, a.c1), (b.c0, b.c1)):
-        assert np.array_equal(
-            pa.from_ntt().limb_stack(), pb.from_ntt().limb_stack()
+    assert_polys_identical((a.c0, a.c1), (b.c0, b.c1))
+
+
+def assert_polys_identical(got, want):
+    for g, w in zip(got, want):
+        assert g.basis == w.basis
+        assert np.array_equal(g.from_ntt().stack, w.from_ntt().stack)
+
+
+def ct_digest(ct) -> str:
+    """SHA-256 over a ciphertext's level, scale and coefficient limbs."""
+    digest = hashlib.sha256(f"{ct.level}|{ct.scale!r}".encode())
+    for poly in (ct.c0, ct.c1):
+        digest.update(np.ascontiguousarray(poly.from_ntt().stack).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture()
+def encrypted_at(encoder, encryptor, evaluator, rng, params):
+    """A fresh encryption switched down to a level (``"max"`` = top)."""
+
+    def make(level):
+        ct = encryptor.encrypt(encoder.encode(random_slots(rng, encoder.slots)))
+        target = params.max_level if level == "max" else level
+        return evaluator.mod_switch_to_level(ct, target)
+
+    return make
+
+
+class TestKeySwitch:
+    @pytest.mark.parametrize("method", ["hybrid", "klss"])
+    @pytest.mark.parametrize("level", [0, 1, "max"])
+    def test_plan_matches_loop(self, params, keyset, encrypted_at, method, level):
+        poly = encrypted_at(level).c1
+        relin = keyset["relin"]
+        assert_polys_identical(
+            ENGINES[method].keyswitch(poly, relin, params),
+            reference.keyswitch(poly, relin, params, method),
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # The Barrett moduli of test_differential_evaluator.py: primes
+            # just above 2**31 and just below the 2**62 ceiling.
+            CkksParameters(degree=16, max_level=4, wordsize=32, dnum=2),
+            CkksParameters(
+                degree=16, max_level=4, wordsize=61, dnum=2, first_prime_bits=62
+            ),
+        ],
+        ids=["just_above_2^31", "just_below_2^62"],
+    )
+    def test_barrett_boundary_moduli(self, params):
+        gen = KeyGenerator(params, seed=101)
+        relin = gen.relinearisation_key(gen.secret_key())
+        rng = np.random.default_rng(102)
+        for level in (1, params.max_level):
+            poly = sample_uniform(params.degree, params.q_basis(level), rng)
+            assert_polys_identical(
+                hybrid.keyswitch(poly, relin, params),
+                reference.keyswitch(poly, relin, params, "hybrid"),
+            )
+
+
+class TestRotate:
+    @pytest.mark.parametrize("method", ["hybrid", "klss"])
+    @pytest.mark.parametrize("level", [0, 1, "max"])
+    def test_evaluator_rotate_matches_loop(
+        self, params, keyset, evaluator, klss_evaluator, encrypted_at, method, level
+    ):
+        ev = {"hybrid": evaluator, "klss": klss_evaluator}[method]
+        ct = encrypted_at(level)
+        for s in (1, 3):
+            assert_ct_identical(
+                ev.rotate(ct, s), reference.rotate(ct, s, keyset["galois"], method)
+            )
 
 
 STEPS = [1, 2, 3, 4, 8]
 
 
 class TestHoistedRotations:
-    """plan-hoisted vs loop-hoisted rotations (never vs non-hoisted --
+    """Hoisted rotations vs the hoisted reference (never vs non-hoisted --
     the approximate-ModUp slack makes those differ in the noise bits)."""
 
     @pytest.mark.parametrize("method", ["hybrid", "klss"])
     @pytest.mark.parametrize("level", [0, 1, "max"])
-    def test_plan_matches_loop(
-        self, params, keyset, encoder, encryptor, evaluator, rng, method, level
-    ):
-        values = random_slots(rng, encoder.slots)
-        ct = encryptor.encrypt(encoder.encode(values))
-        target = params.max_level if level == "max" else level
-        ct = evaluator.mod_switch_to_level(ct, target)
-        plan = hoisted_rotations(
-            ct, STEPS, keyset["galois"], params, method=method, engine="plan"
-        )
-        loop = hoisted_rotations(
-            ct, STEPS, keyset["galois"], params, method=method, engine="loop"
-        )
+    def test_plan_matches_loop(self, params, keyset, encrypted_at, method, level):
+        ct = encrypted_at(level)
+        plan = hoisted_rotations(ct, STEPS, keyset["galois"], params, method=method)
         for s in STEPS:
-            assert_ct_identical(plan[s], loop[s])
+            want = reference.rotate(ct, s, keyset["galois"], method, hoisted=True)
+            assert_ct_identical(plan[s], want)
 
     @pytest.mark.parametrize("method", ["hybrid", "klss"])
     def test_identity_steps_short_circuit_identically(
-        self, params, keyset, encoder, encryptor, rng, method
+        self, params, keyset, encrypted_at, method
     ):
-        values = random_slots(rng, encoder.slots)
-        ct = encryptor.encrypt(encoder.encode(values))
+        ct = encrypted_at("max")
         steps = [0, params.slots, 3, -2 * params.slots]
-        plan = hoisted_rotations(
-            ct, steps, keyset["galois"], params, method=method, engine="plan"
-        )
-        loop = hoisted_rotations(
-            ct, steps, keyset["galois"], params, method=method, engine="loop"
-        )
+        plan = hoisted_rotations(ct, steps, keyset["galois"], params, method=method)
         for s in steps:
-            assert_ct_identical(plan[s], loop[s])
+            want = reference.rotate(ct, s, keyset["galois"], method, hoisted=True)
+            assert_ct_identical(plan[s], want)
 
-    def test_rejects_unknown_engine(self, params, keyset, encoder, encryptor, rng):
-        ct = encryptor.encrypt(encoder.encode(random_slots(rng, encoder.slots)))
-        with pytest.raises(ValueError):
-            hoisted_rotations(ct, [1], keyset["galois"], params, engine="vectorised")
+    def test_rejects_unknown_method(self, params, keyset, encrypted_at):
+        with pytest.raises(ValueError, match="unknown key-switch method"):
+            hoisted_rotations(
+                encrypted_at("max"), [1], keyset["galois"], params, method="bgv"
+            )
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +177,13 @@ def lt_setup():
     galois = gen.rotation_keys(sk, list(range(1, params.slots)))
     evaluators = {
         m: Evaluator(params, relin_key=relin, galois_keys=galois, method=m)
-        for m in ("hybrid", "hybrid-loop", "klss", "klss-loop")
+        for m in ("hybrid", "klss")
     }
     return params, encoder, encryptor, decryptor, evaluators
 
 
 class TestLinearTransform:
-    """Compiled BSGS plan vs the per-term loop applier."""
+    """Compiled BSGS plan vs the term-by-term reference applier."""
 
     @pytest.mark.parametrize("method", ["hybrid", "klss"])
     @pytest.mark.parametrize("level", [1, 2, "max"])
@@ -127,8 +198,9 @@ class TestLinearTransform:
         target = params.max_level if level == "max" else level
         ct = evaluators[method].mod_switch_to_level(ct, target)
         out_plan = lt.apply(evaluators[method], ct)
-        out_loop = lt.apply(evaluators[method + "-loop"], ct)
-        assert_ct_identical(out_plan, out_loop)
+        assert_ct_identical(
+            out_plan, reference.linear_transform(lt, evaluators[method], ct)
+        )
         got = encoder.decode(decryptor.decrypt(out_plan))
         assert np.abs(got - m @ z).max() < 1e-3
 
@@ -141,8 +213,9 @@ class TestLinearTransform:
         z = random_slots(rng, params.slots)
         ct = encryptor.encrypt(encoder.encode(z))
         out_plan = lt.apply(evaluators[method], ct)
-        out_loop = lt.apply(evaluators[method + "-loop"], ct)
-        assert_ct_identical(out_plan, out_loop)
+        assert_ct_identical(
+            out_plan, reference.linear_transform(lt, evaluators[method], ct)
+        )
         assert np.abs(encoder.decode(decryptor.decrypt(out_plan)) - z).max() < 1e-3
 
     def test_single_off_diagonal(self, lt_setup):
@@ -155,8 +228,9 @@ class TestLinearTransform:
         z = random_slots(rng, n)
         ct = encryptor.encrypt(encoder.encode(z))
         out_plan = lt.apply(evaluators["hybrid"], ct)
-        out_loop = lt.apply(evaluators["hybrid-loop"], ct)
-        assert_ct_identical(out_plan, out_loop)
+        assert_ct_identical(
+            out_plan, reference.linear_transform(lt, evaluators["hybrid"], ct)
+        )
         got = encoder.decode(decryptor.decrypt(out_plan))
         assert np.abs(got - np.roll(z, -5)).max() < 1e-3
 
@@ -179,51 +253,62 @@ def boot_diff_setup():
     encoder = CkksEncoder(params)
     encryptor = Encryptor(params, public_key=gen.public_key(sk), seed=6)
     decryptor = Decryptor(params, sk)
-    relin = gen.relinearisation_key(sk)
-    ev_plan = Evaluator(params, relin_key=relin, method="hybrid")
-    ev_loop = Evaluator(params, relin_key=relin, method="hybrid-loop")
-    boot_plan = Bootstrapper(params, encoder, ev_plan, eval_degree=15,
-                             overflow_bound=1.0)
-    boot_loop = Bootstrapper(params, encoder, ev_loop, eval_degree=15,
-                             overflow_bound=1.0)
-    galois = gen.rotation_keys(sk, boot_plan.required_rotations())
+    evaluator = Evaluator(
+        params, relin_key=gen.relinearisation_key(sk), method="hybrid"
+    )
+    boot = Bootstrapper(
+        params, encoder, evaluator, eval_degree=15, overflow_bound=1.0
+    )
+    galois = gen.rotation_keys(sk, boot.required_rotations())
     conj = conjugation_galois_power(params.degree)
     galois.add(conj, gen.galois_key(sk, conj))
-    ev_plan.galois_keys = galois
-    ev_loop.galois_keys = galois
-    return params, encoder, encryptor, decryptor, boot_plan, boot_loop
+    evaluator.galois_keys = galois
+    rng = np.random.default_rng(23)
+    values = np.clip(0.3 * rng.normal(size=params.slots), -0.8, 0.8)
+    ct = encryptor.encrypt(encoder.encode(values, level=0))
+    return encoder, decryptor, boot, values, ct
+
+
+def _golden_stages() -> dict:
+    assert GOLDEN_BOOTSTRAP.exists(), (
+        f"{GOLDEN_BOOTSTRAP} missing -- run `pytest --update-golden` once to create it"
+    )
+    return json.loads(GOLDEN_BOOTSTRAP.read_text())["stages"]
 
 
 class TestBootstrapEndToEnd:
-    def test_plan_bootstrap_matches_loop_bit_for_bit(self, boot_diff_setup):
-        params, encoder, encryptor, decryptor, boot_plan, boot_loop = (
-            boot_diff_setup
-        )
-        rng = np.random.default_rng(23)
-        v = np.clip(0.3 * rng.normal(size=params.slots), -0.8, 0.8)
-        ct = encryptor.encrypt(encoder.encode(v, level=0))
-        out_plan = boot_plan.bootstrap(ct)
-        out_loop = boot_loop.bootstrap(ct)
-        assert_ct_identical(out_plan, out_loop)
-        got = encoder.decode(decryptor.decrypt(out_plan)).real
-        assert np.abs(got - v).max() < 2e-2
+    """The bootstrap is pinned by golden stage digests.
 
-    def test_stage_outputs_match(self, boot_diff_setup):
-        """CtS / EvalMod / StC each stay bit-identical in isolation."""
-        params, encoder, encryptor, _, boot_plan, boot_loop = boot_diff_setup
-        rng = np.random.default_rng(29)
-        v = 0.3 * rng.normal(size=params.slots)
-        ct = encryptor.encrypt(encoder.encode(v, level=0))
-        raised_p = boot_plan.mod_raise(ct)
-        raised_l = boot_loop.mod_raise(ct)
-        assert_ct_identical(raised_p, raised_l)
-        lo_p, hi_p = boot_plan.coeff_to_slot(raised_p)
-        lo_l, hi_l = boot_loop.coeff_to_slot(raised_l)
-        assert_ct_identical(lo_p, lo_l)
-        assert_ct_identical(hi_p, hi_l)
-        w_p = boot_plan.eval_mod(lo_p)
-        w_l = boot_loop.eval_mod(lo_l)
-        assert_ct_identical(w_p, w_l)
-        out_p = boot_plan.slot_to_coeff(w_p, boot_plan.eval_mod(hi_p))
-        out_l = boot_loop.slot_to_coeff(w_l, boot_loop.eval_mod(hi_l))
-        assert_ct_identical(out_p, out_l)
+    ``golden_bootstrap_digests.json`` was recorded from both the op-plan
+    and a per-digit loop bootstrap, which agreed at every stage.  Run
+    ``pytest --update-golden`` only after an intentional change of limbs.
+    """
+
+    def test_plan_bootstrap_matches_loop_bit_for_bit(self, boot_diff_setup):
+        encoder, decryptor, boot, values, ct = boot_diff_setup
+        out = boot.bootstrap(ct)
+        assert ct_digest(out) == _golden_stages()["bootstrap"]
+        got = encoder.decode(decryptor.decrypt(out)).real
+        assert np.abs(got - values).max() < 2e-2
+
+    def test_stage_outputs_match(self, boot_diff_setup, update_golden):
+        """ModRaise / CtS / EvalMod / StC each match their golden digest."""
+        _, _, boot, _, ct = boot_diff_setup
+        raised = boot.mod_raise(ct)
+        lo, hi = boot.coeff_to_slot(raised)
+        w_lo, w_hi = boot.eval_mod(lo), boot.eval_mod(hi)
+        stages = {
+            "mod_raise": ct_digest(raised),
+            "coeff_to_slot_lo": ct_digest(lo),
+            "coeff_to_slot_hi": ct_digest(hi),
+            "eval_mod_lo": ct_digest(w_lo),
+            "eval_mod_hi": ct_digest(w_hi),
+            "slot_to_coeff": ct_digest(boot.slot_to_coeff(w_lo, w_hi)),
+            "bootstrap": ct_digest(boot.bootstrap(ct)),
+        }
+        if update_golden:
+            GOLDEN_BOOTSTRAP.write_text(
+                json.dumps({"stages": stages}, sort_keys=True, indent=2) + "\n"
+            )
+            pytest.skip(f"regenerated {GOLDEN_BOOTSTRAP.name}")
+        assert stages == _golden_stages()
