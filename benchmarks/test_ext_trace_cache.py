@@ -13,12 +13,8 @@ import time
 import pytest
 
 from repro.apps import get_application
-from repro.core import (
-    NEO_CONFIG,
-    NeoContext,
-    TraceCache,
-    clear_cost_builder_caches,
-)
+from repro.core import NEO_CONFIG, NeoContext, TraceCache
+from repro.telemetry.stats import clear_caches
 
 APPS = ("packbootstrap", "resnet56")
 
@@ -57,10 +53,10 @@ def test_second_call_speedup_at_least_5x(app_name):
     warm = _mean_time(lambda: cached.application_time(app))
 
     def fully_cold():
-        # The uncached arm models a fresh process: the process-wide
-        # kernel-cost memos (which the cached path subsumes) must not
-        # carry warm state between repeats.
-        clear_cost_builder_caches()
+        # The uncached arm models a fresh process: no process-wide cache
+        # (the kernel-cost memo, which the cached path subsumes, among
+        # them) may carry warm state between repeats.
+        clear_caches()
         uncached.application_time(app)
 
     cold = _mean_time(fully_cold)

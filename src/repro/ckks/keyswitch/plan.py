@@ -38,10 +38,10 @@ import numpy as np
 from ...gpu.memory_model import TrafficProfile, classify_traffic
 from ...math import modarith
 from ...math.modstack import ModulusStack
-from ...math.ntt import PlanCache, get_stack
+from ...math.ntt import get_stack
 from ...math.polynomial import RnsPolynomial, automorphism_gather_maps
 from ...math.rns import RnsBasis
-from ...telemetry.stats import register_cache
+from ...telemetry.stats import Cache
 from ...telemetry.tracing import span as _span
 from ..params import CkksParameters
 
@@ -741,9 +741,7 @@ def gemm_rotation_batch(
 # The plan cache (params fingerprint + key token, LRU, lock only on books)
 # ---------------------------------------------------------------------------
 
-_PLAN_CACHE = PlanCache(maxsize=64)
-
-register_cache("op_plans", lambda: _PLAN_CACHE.stats, lambda: len(_PLAN_CACHE))
+_OP_PLANS = Cache("op_plans", maxsize=64)
 
 
 def get_keyswitch_plan(
@@ -764,10 +762,8 @@ def get_keyswitch_plan(
         method,
         modarith._BARRETT_ENABLED,
     )
-    return _PLAN_CACHE.get_or_build(
-        key,
-        lambda: KeySwitchPlan(method, params, level, ksk),
-        build_outside_lock=True,
+    return _OP_PLANS.get_or_build(
+        key, lambda: KeySwitchPlan(method, params, level, ksk)
     )
 
 
@@ -798,10 +794,9 @@ def get_hoisted_rotation_plan(
     reuses their restrictions instead of re-stacking.
     """
     key = _rotation_plan_key("hoist", galois_keys, powers, params, level, method)
-    return _PLAN_CACHE.get_or_build(
+    return _OP_PLANS.get_or_build(
         key,
         lambda: HoistedRotationPlan(galois_keys, tuple(powers), params, level, method),
-        build_outside_lock=True,
     )
 
 
@@ -810,22 +805,8 @@ def get_rotation_batch_plan(
 ) -> RotationBatchPlan:
     """The cached :class:`RotationBatchPlan` (giant-step batches)."""
     key = _rotation_plan_key("rotbatch", galois_keys, powers, params, level, method)
-    return _PLAN_CACHE.get_or_build(
+    return _OP_PLANS.get_or_build(
         key,
         lambda: RotationBatchPlan(galois_keys, tuple(powers), params, level, method),
-        build_outside_lock=True,
     )
 
-
-def clear_keyswitch_plan_cache() -> None:
-    """Drop every cached key-switch plan and reset the counters."""
-    _PLAN_CACHE.clear()
-
-
-def keyswitch_plan_cache_stats() -> Dict[str, float]:
-    """Point-in-time hit/miss/eviction counters of the plan cache."""
-    return _PLAN_CACHE.stats.as_dict()
-
-
-def keyswitch_plan_cache_size() -> int:
-    return len(_PLAN_CACHE)

@@ -37,6 +37,7 @@ from .baselines import BASELINE_MODELS, CpuModel, HeonGpuModel, TensorFheModel
 from .ckks.params import TABLE4, KlssConfig, get_set
 from .core import ABLATION_STEPS, NEO_CONFIG, NeoContext
 from .core.profiling import chrome_trace_json, profile_application
+from .telemetry.stats import clear_caches
 
 #: profile-command system registry: the baselines plus Neo itself.
 SYSTEM_MODELS = dict(
@@ -348,6 +349,10 @@ def cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
+    # The report's cache table counts the process-wide caches: start them
+    # empty, as a fresh ``repro serve`` process does, so that the output
+    # depends only on the arguments.
+    clear_caches()
     tracer = None
     if args.metrics or args.trace_jsonl:
         from .telemetry import Tracer, enable_telemetry

@@ -9,7 +9,6 @@ from .autotuner import (
     TuningResult,
     TuningStore,
     best_configuration,
-    clear_cost_builder_caches,
     default_tuning_store,
     hybrid_vs_best_klss,
     tune_app,
@@ -44,12 +43,7 @@ from .profiling import (
 )
 from .radix16_ntt import NeoNtt, ntt_cost, ntt_gemm_macs, radix16_factors
 from .streams import ScheduleResult, StreamScheduler
-from .trace_cache import (
-    GLOBAL_TRACE_CACHE,
-    CacheStats,
-    TraceCache,
-    default_trace_cache,
-)
+from .trace_cache import GLOBAL_TRACE_CACHE, CacheStats, TraceCache
 
 __all__ = [
     "ABLATION_STEPS",
@@ -81,7 +75,6 @@ __all__ = [
     "ablation_configs",
     "ablation_labels",
     "best_configuration",
-    "clear_cost_builder_caches",
     "default_tuning_store",
     "hybrid_vs_best_klss",
     "tune_app",
@@ -90,7 +83,6 @@ __all__ = [
     "bconv_gemm_shape",
     "choose_ip_component",
     "chrome_trace_json",
-    "default_trace_cache",
     "ip_cost",
     "ip_gemm_shape",
     "neo_component_map",

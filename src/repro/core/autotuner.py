@@ -4,8 +4,8 @@ Two layers:
 
 * :func:`tune_keyswitch` -- the paper's Table 8 / Fig. 16 sweep: rank the
   KLSS ``(dnum, alpha~, WordSize_T)`` grid by KeySwitch time.  The sweep
-  shares one :class:`~repro.core.trace_cache.TraceCache` and the memoised
-  kernel-cost builders across all grid points and reports the cache hit
+  shares one :class:`~repro.core.trace_cache.TraceCache` and the
+  ``kernel_costs`` cache across all grid points and reports the cache hit
   rates per result.
 
 * :func:`tune_app` -- the multi-dimensional search the ROADMAP asks for:
@@ -20,25 +20,22 @@ Two layers:
   of the incumbent's.
 
 Results are cached in a :class:`TuningStore` keyed by (params, app,
-device, model version), surfaced through the telemetry cache directory so
-``ServingReport.caches`` picks it up.
+device, budget, model version); the shared :data:`DEFAULT_TUNING_STORE` is
+the named cache ``autotune_store``, so ``ServingReport.caches`` picks it up.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ckks.params import KlssConfig, ParameterSet, get_set
 from ..gpu.device import A100, DeviceSpec
-from ..telemetry.stats import CacheStats, register_cache
-from .bconv_matmul import bconv_cost
-from .ip_matmul import ip_cost
+from ..gpu.kernels import KERNEL_COSTS
+from ..telemetry.stats import Cache
 from .neo_context import NeoContext
 from .pipeline import NEO_CONFIG, PipelineConfig
-from .radix16_ntt import ntt_cost
 from .trace_cache import TraceCache
 
 #: Version of the traffic/pricing model; part of every tuning-store key so
@@ -48,24 +45,6 @@ MODEL_VERSION = 1
 #: An engine candidate's KeySwitch probe must be within this factor of the
 #: incumbent's probe to earn a full-application evaluation.
 PROBE_CUTOFF = 1.3
-
-_COST_BUILDERS = (ntt_cost, bconv_cost, ip_cost)
-
-
-def _builder_cache_counts() -> Tuple[int, int]:
-    """(hits, misses) summed over the memoised kernel-cost builders."""
-    hits = misses = 0
-    for builder in _COST_BUILDERS:
-        info = builder.cache_info()
-        hits += info.hits
-        misses += info.misses
-    return hits, misses
-
-
-def clear_cost_builder_caches() -> None:
-    """Drop the kernel-cost builder memos (cold-cache measurements)."""
-    for builder in _COST_BUILDERS:
-        builder.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +90,7 @@ def tune_keyswitch(
     Returns results sorted fastest-first.  Configurations whose auxiliary
     basis would be degenerate (``alpha' < 2``) are skipped.
 
-    One :class:`TraceCache` (and the process-wide kernel-cost memos) are
+    One :class:`TraceCache` (and the process-wide ``kernel_costs`` cache) are
     shared across the whole sweep, so a kernel shape two grid points have
     in common -- e.g. the final ModDown/NTT over the unchanged Q basis --
     is priced once; each result reports the hits/misses its point saw.
@@ -135,14 +114,12 @@ def tune_keyswitch(
                     continue
                 if alpha_prime < 2:
                     continue
-                hits0, misses0 = _builder_cache_counts()
-                trace0 = cache.stats.snapshot()
+                costs0, trace0 = KERNEL_COSTS.stats, cache.stats
                 ctx = NeoContext(
                     params, device=device, config=config, trace_cache=cache
                 )
                 keyswitch_us = ctx.keyswitch_time_us(level)
-                hits1, misses1 = _builder_cache_counts()
-                trace1 = cache.stats.snapshot()
+                costs1, trace1 = KERNEL_COSTS.stats, cache.stats
                 results.append(
                     TuningResult(
                         dnum=dnum,
@@ -150,8 +127,9 @@ def tune_keyswitch(
                         wordsize_t=wordsize_t,
                         keyswitch_us=keyswitch_us,
                         alpha_prime=alpha_prime,
-                        cache_hits=(hits1 - hits0) + (trace1.hits - trace0.hits),
-                        cache_misses=(misses1 - misses0)
+                        cache_hits=(costs1.hits - costs0.hits)
+                        + (trace1.hits - trace0.hits),
+                        cache_misses=(costs1.misses - costs0.misses)
                         + (trace1.misses - trace0.misses),
                     )
                 )
@@ -463,7 +441,7 @@ def tune_app(
     device = device.hier()
     cache = trace_cache if trace_cache is not None else TraceCache()
     variants = _app_variants(app, spec)  # validates the app name up front
-    hits0, misses0 = _builder_cache_counts()
+    costs0 = KERNEL_COSTS.stats
 
     level = base.max_level
     probe_levels = (level, max(1, level // 2))
@@ -708,8 +686,7 @@ def tune_app(
         for r in evaluated_points
     ]
 
-    hits1, misses1 = _builder_cache_counts()
-    trace_stats = cache.stats
+    costs1, trace_stats = KERNEL_COSTS.stats, cache.stats
     return TuningReport(
         app=app.lower(),
         params_name=base.name,
@@ -721,8 +698,8 @@ def tune_app(
         evaluated=evaluated,
         pruned_dominated=pruned_dominated,
         pruned_cutoff=pruned_cutoff,
-        cache_hits=(hits1 - hits0) + trace_stats.hits,
-        cache_misses=(misses1 - misses0) + trace_stats.misses,
+        cache_hits=(costs1.hits - costs0.hits) + trace_stats.hits,
+        cache_misses=(costs1.misses - costs0.misses) + trace_stats.misses,
     )
 
 
@@ -731,45 +708,17 @@ def tune_app(
 # ---------------------------------------------------------------------------
 
 
-class TuningStore:
-    """Keyed, thread-safe store of :class:`TuningReport` results.
+class TuningStore(Cache):
+    """Keyed, thread-safe LRU store of :class:`TuningReport` results.
 
-    Key: (params, app, device name, memory-model mode, model version) --
-    a stored optimum never leaks across devices or model revisions.
-    Registered with the telemetry cache directory, so serving reports and
-    ``repro metrics`` surface its hit rates alongside the trace caches.
+    Key: (params, app, device name, budget, model version) -- a stored
+    optimum never leaks across devices or model revisions.
     """
-
-    def __init__(self, maxsize: int = 64):
-        self.maxsize = maxsize
-        self._entries: Dict[tuple, TuningReport] = {}
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
 
     @staticmethod
     def key(params, app: str, device: DeviceSpec, budget: str) -> tuple:
         name = params if isinstance(params, str) else params.name
         return (name, app.lower(), device.name, budget, MODEL_VERSION)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: tuple) -> Optional[TuningReport]:
-        with self._lock:
-            report = self._entries.get(key)
-            if report is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-            return report
-
-    def put(self, key: tuple, report: TuningReport) -> None:
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self.maxsize:
-                self._entries.pop(next(iter(self._entries)))
-                self.stats.evictions += 1
-            self._entries[key] = report
 
     def get_or_tune(
         self,
@@ -780,26 +729,14 @@ class TuningStore:
         **kwargs,
     ) -> TuningReport:
         """Cached :func:`tune_app` (tunes on first miss, stores the report)."""
-        key = self.key(params, app, device, budget)
-        report = self.get(key)
-        if report is None:
-            report = tune_app(app, params=params, device=device, budget=budget, **kwargs)
-            self.put(key, report)
-        return report
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        return self.get_or_build(
+            self.key(params, app, device, budget),
+            lambda: tune_app(app, params=params, device=device, budget=budget, **kwargs),
+        )
 
 
 #: Process-wide store the serving layer and CLI share.
-DEFAULT_TUNING_STORE = TuningStore()
-
-register_cache(
-    "autotune_store",
-    lambda: DEFAULT_TUNING_STORE.stats.snapshot(),
-    lambda: len(DEFAULT_TUNING_STORE),
-)
+DEFAULT_TUNING_STORE = TuningStore("autotune_store", maxsize=64)
 
 
 def default_tuning_store() -> TuningStore:

@@ -12,7 +12,6 @@ cost path (:func:`bconv_cost`) are provided.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +25,7 @@ from ..gpu.kernels import (
     gemm_cost_cuda,
     gemm_cost_tcu_fp64,
     gemm_cost_tcu_int8,
+    memoised_cost,
     word_bytes,
 )
 from ..math import modarith
@@ -135,7 +135,7 @@ def reference_bconv(tensor: np.ndarray, from_basis: RnsBasis, to_basis: RnsBasis
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@memoised_cost
 def bconv_cost(
     alpha: int,
     alpha_out: int,

@@ -13,7 +13,6 @@ implements that policy; here both cost variants are exposed.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from ..gpu.kernels import (
     gemm_cost_cuda,
     gemm_cost_tcu_fp64,
     gemm_cost_tcu_int8,
+    memoised_cost,
     word_bytes,
 )
 from ..math import modarith
@@ -127,7 +127,7 @@ def reference_inner_product(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@memoised_cost
 def ip_cost(
     beta: int,
     beta_tilde: int,

@@ -27,7 +27,7 @@ from .bconv_matmul import bconv_cost
 from .ip_matmul import ip_cost
 from .mapping import choose_ip_component, ip_gemm_shape
 from .radix16_ntt import ntt_cost
-from .trace_cache import TraceCache, TraceKey, default_trace_cache
+from .trace_cache import GLOBAL_TRACE_CACHE, TraceCache, TraceKey
 
 
 #: Cached ``(family, child)`` counter handles per op name.  The family is
@@ -151,7 +151,7 @@ class OperationPipeline:
         #: Trace cache consulted by :meth:`operation_trace`.  Defaults to the
         #: process-wide shared cache; pass ``TraceCache(maxsize=0)`` to force
         #: uncached construction.
-        self.cache = cache if cache is not None else default_trace_cache()
+        self.cache = cache if cache is not None else GLOBAL_TRACE_CACHE
 
     # -- small helpers -------------------------------------------------------------
 

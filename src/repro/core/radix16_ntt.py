@@ -13,7 +13,6 @@ the TCU-backed execution hook, and the analytic cost.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from ..gpu.kernels import (
     gemm_cost_cuda,
     gemm_cost_tcu_fp64,
     gemm_cost_tcu_int8,
+    memoised_cost,
     word_bytes,
 )
 from ..gpu.tensorcore import make_tcu_gemm
@@ -90,7 +90,7 @@ def ntt_gemm_macs(degree: int, factors: Sequence[int]) -> int:
 BUTTERFLY_SMEM_STAGES = 10
 
 
-@lru_cache(maxsize=4096)
+@memoised_cost
 def ntt_cost(
     degree: int,
     batch_limbs: int,

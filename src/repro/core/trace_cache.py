@@ -16,27 +16,25 @@ describe resource demands, and devices only enter when a trace is timed.
 
 Cached traces are returned ``frozen()`` (tuple-backed event lists), so a
 cache hit can be handed to many callers without aliasing hazards.
+:class:`TraceCache` is a :class:`~repro.telemetry.stats.Cache`; the shared
+:data:`GLOBAL_TRACE_CACHE` is the named ``trace_cache``, while the caches
+a serving model or a tuning sweep creates for itself stay unnamed.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Callable, Hashable, Tuple
 
 from ..gpu.trace import ExecutionTrace
-from ..telemetry.stats import CacheStats, register_cache
+from ..telemetry.stats import Cache, CacheStats
 
 #: A fully value-based cache key: (params, config, batch, operation, level).
 TraceKey = Tuple[Hashable, ...]
 
-__all__ = ["CacheStats", "TraceCache", "TraceKey", "GLOBAL_TRACE_CACHE",
-           "default_trace_cache"]
+__all__ = ["CacheStats", "TraceCache", "TraceKey", "GLOBAL_TRACE_CACHE"]
 
 
-@dataclass
-class TraceCache:
+class TraceCache(Cache):
     """An LRU-bounded map from :data:`TraceKey` to frozen traces.
 
     ``maxsize=0`` disables storage entirely (every lookup misses and the
@@ -44,72 +42,14 @@ class TraceCache:
     time the uncached construction path against the cached one.
     """
 
-    maxsize: int = 1024
-    _entries: "OrderedDict[TraceKey, ExecutionTrace]" = field(
-        default_factory=OrderedDict, repr=False
-    )
-    _stats: CacheStats = field(default_factory=CacheStats, repr=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-
     def get_or_build(
-        self, key: TraceKey, builder: Callable[[], ExecutionTrace]
+        self, key: TraceKey, build: Callable[[], ExecutionTrace]
     ) -> ExecutionTrace:
-        """The cached trace for `key`, building (and storing) it on a miss."""
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return cached
-            self._stats.misses += 1
-            trace = builder().frozen()
-            if self.maxsize > 0:
-                self._entries[key] = trace
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self._stats.evictions += 1
-            return trace
-
-    def get(self, key: TraceKey) -> Optional[ExecutionTrace]:
-        """Peek without counting a hit/miss or building."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._stats = CacheStats()
-
-    @property
-    def stats(self) -> CacheStats:
-        """A point-in-time copy of the counters."""
-        with self._lock:
-            return self._stats.snapshot()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: TraceKey) -> bool:
-        with self._lock:
-            return key in self._entries
+        """The cached trace for `key`, building (and storing) it frozen on a miss."""
+        return super().get_or_build(key, lambda: build().frozen())
 
 
 #: Process-wide default cache shared by every pipeline that is not handed
 #: its own.  Keys are fully value-based, so sharing across parameter sets,
 #: configs and batch sizes is safe by construction.
-GLOBAL_TRACE_CACHE = TraceCache(maxsize=4096)
-
-# All long-lived caches announce themselves to the telemetry directory so
-# `ServingReport`, `repro metrics` and the exporters can enumerate them.
-register_cache(
-    "trace_cache",
-    lambda: GLOBAL_TRACE_CACHE.stats,
-    lambda: len(GLOBAL_TRACE_CACHE),
-)
-
-
-def default_trace_cache() -> TraceCache:
-    """The shared process-wide trace cache."""
-    return GLOBAL_TRACE_CACHE
+GLOBAL_TRACE_CACHE = TraceCache("trace_cache", maxsize=4096)

@@ -10,9 +10,11 @@ overlap components across kernels -- see :mod:`repro.gpu.trace`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
+from ..telemetry.stats import Cache
 from .device import DeviceSpec
 from .memory_model import TrafficProfile, extra_launches, hier_memory_time_s
 from .fragments import (
@@ -163,6 +165,27 @@ class KernelCost:
             bytes_written=merged.bytes_written - write_saved,
             launches=1,
         )
+
+
+#: Shared memo of the kernel-cost functions (``ntt_cost``, ``bconv_cost``,
+#: ``ip_cost``): autotuner sweeps and cold model runs revisit the same
+#: shapes thousands of times, and a frozen :class:`KernelCost` is safe to
+#: hand to every caller.
+KERNEL_COSTS = Cache("kernel_costs", maxsize=3 * 4096)
+
+
+def memoised_cost(cost_fn: Callable[..., KernelCost]) -> Callable[..., KernelCost]:
+    """Memoise a pure kernel-cost function in :data:`KERNEL_COSTS`, keyed on
+    its name and arguments."""
+    name = cost_fn.__name__
+
+    @functools.wraps(cost_fn)
+    def cached(*args, **kwargs) -> KernelCost:
+        return KERNEL_COSTS.get_or_build(
+            (name, args, tuple(kwargs.items())), lambda: cost_fn(*args, **kwargs)
+        )
+
+    return cached
 
 
 def zero_cost(name: str) -> KernelCost:

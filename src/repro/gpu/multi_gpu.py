@@ -27,8 +27,9 @@ assumption:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from ..telemetry.stats import Cache
 from .device import A100, DeviceSpec
 from .trace import ExecutionTrace
 
@@ -59,31 +60,17 @@ EXCHANGE_KERNELS = frozenset({"ntt", "intt", "bconv"})
 #: Cached G=1 reference times keyed by (device, frozen trace, streams).
 #: ``speedup`` / ``scaling_efficiency`` are called repeatedly on the same
 #: trace during scaling sweeps; the reference device time never changes.
-_SINGLE_TIME_CACHE: Dict[Tuple[DeviceSpec, ExecutionTrace, int], float] = {}
-_SINGLE_TIME_CACHE_MAX = 128
+_SINGLE_GPU_TIMES = Cache("single_gpu_times", maxsize=128)
 
 
 def single_gpu_time_s(
     trace: ExecutionTrace, device: DeviceSpec = A100, streams: int = 8
 ) -> float:
     """Cached single-device reference time of `trace`."""
-    key = (device, trace.frozen(), streams)
-    cached = _SINGLE_TIME_CACHE.get(key)
-    if cached is None:
-        if len(_SINGLE_TIME_CACHE) >= _SINGLE_TIME_CACHE_MAX:
-            _SINGLE_TIME_CACHE.clear()
-        cached = trace.overlapped_time_s(device, streams)
-        _SINGLE_TIME_CACHE[key] = cached
-    return cached
-
-
-def clear_single_gpu_time_cache() -> None:
-    """Drop the cached G=1 reference times (tests)."""
-    _SINGLE_TIME_CACHE.clear()
-
-
-def single_gpu_time_cache_size() -> int:
-    return len(_SINGLE_TIME_CACHE)
+    return _SINGLE_GPU_TIMES.get_or_build(
+        (device, trace.frozen(), streams),
+        lambda: trace.overlapped_time_s(device, streams),
+    )
 
 
 class MultiGpuModel:

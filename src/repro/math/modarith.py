@@ -25,9 +25,11 @@ Barrett backend against the oracle on identical inputs.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
+
+from ..telemetry.stats import Cache
 
 #: Largest modulus for which the plain ``uint64`` path is safe: residues are
 #: below ``2**31`` so products stay below ``2**62`` and sums below ``2**63``.
@@ -151,24 +153,24 @@ def mulhi_op32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 #: modulus -> (q, k-1, 64-(k-1), k+1, 64-(k+1), mu) as uint64 scalars, where
 #: ``k = q.bit_length()`` and ``mu = floor(2**(2k) / q)``.
-_BARRETT_CACHE: Dict[int, Tuple[np.uint64, ...]] = {}
+_BARRETT = Cache("barrett", maxsize=256)
 
 
 def _barrett_constants(modulus: int) -> Tuple[np.uint64, ...]:
-    consts = _BARRETT_CACHE.get(modulus)
-    if consts is None:
-        k = int(modulus).bit_length()
-        mu = (1 << (2 * k)) // modulus
-        consts = (
-            np.uint64(modulus),
-            np.uint64(k - 1),
-            np.uint64(64 - (k - 1)),
-            np.uint64(k + 1),
-            np.uint64(64 - (k + 1)),
-            np.uint64(mu),
-        )
-        _BARRETT_CACHE[modulus] = consts
-    return consts
+    return _BARRETT.get_or_build(modulus, lambda: _build_barrett_constants(modulus))
+
+
+def _build_barrett_constants(modulus: int) -> Tuple[np.uint64, ...]:
+    k = int(modulus).bit_length()
+    mu = (1 << (2 * k)) // modulus
+    return (
+        np.uint64(modulus),
+        np.uint64(k - 1),
+        np.uint64(64 - (k - 1)),
+        np.uint64(k + 1),
+        np.uint64(64 - (k + 1)),
+        np.uint64(mu),
+    )
 
 
 def barrett_mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:

@@ -15,13 +15,17 @@ the exact object backend (the reference oracle path).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import modarith
+from ..telemetry.stats import Cache
 
 _U64 = np.uint64
+
+#: (moduli, backend policy) -> the shared :class:`ModulusStack`.
+_MODSTACKS = Cache("modstacks", maxsize=256)
 
 
 class ModulusStack:
@@ -31,8 +35,6 @@ class ModulusStack:
     then optional batch axes, then the coefficient axis.  All per-limb
     constants broadcast from column vectors ``(L, 1, ..., 1)``.
     """
-
-    _CACHE: Dict[Tuple[Tuple[int, ...], bool], "ModulusStack"] = {}
 
     def __init__(self, moduli: Sequence[int]):
         self.moduli: Tuple[int, ...] = tuple(int(q) for q in moduli)
@@ -69,11 +71,7 @@ class ModulusStack:
     def for_moduli(cls, moduli: Sequence[int]) -> "ModulusStack":
         """The cached stack for `moduli` under the current backend policy."""
         key = (tuple(int(q) for q in moduli), modarith._BARRETT_ENABLED)
-        stack = cls._CACHE.get(key)
-        if stack is None:
-            stack = cls(key[0])
-            cls._CACHE[key] = stack
-        return stack
+        return _MODSTACKS.get_or_build(key, lambda: cls(key[0]))
 
     @property
     def dtype(self):

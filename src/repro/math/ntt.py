@@ -24,25 +24,20 @@ paper's discussion (Section 4.4):
 
 All transforms agree element-for-element; the test-suite asserts it.
 
-Plans are memoised in a bounded LRU cache (same discipline as
-:mod:`repro.core.trace_cache`; ``math`` must not import ``core``, so the
-cache is local but its counters share the unified
-:class:`repro.telemetry.stats.CacheStats` vocabulary and register with the
-process-wide cache directory); see :func:`clear_plan_cache` /
-:func:`plan_cache_stats`.
+:func:`get_plan` and :func:`get_stack` memoise plans in the bounded LRU
+caches ``ntt_plans`` and ``ntt_stacks`` of :mod:`repro.telemetry.stats`;
+:func:`repro.telemetry.stats.clear_caches` empties them.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import modarith
-from ..telemetry.stats import CacheStats, register_cache
+from ..telemetry.stats import Cache
 from .primes import root_of_unity
 
 _U64 = np.uint64
@@ -727,98 +722,13 @@ class NttStack:
 
 
 # ---------------------------------------------------------------------------
-# Bounded LRU plan cache (the trace-cache discipline, local to the math layer)
+# Plan caches
 # ---------------------------------------------------------------------------
 
-
-#: The unified cache-counters type (one vocabulary for every cache in the
-#: process); the old per-module name is kept as an alias.
-PlanCacheStats = CacheStats
-
-
-class PlanCache:
-    """An LRU-bounded memo of constructed transform plans.
-
-    Twiddle tables are a few megabytes at bootstrapping degrees, and a
-    long-lived service cycling through parameter sets must not grow its
-    plan memo without bound -- the same reasoning as
-    :class:`repro.core.trace_cache.TraceCache`, which this mirrors
-    (``math`` cannot import ``core``).
-    """
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._stats = PlanCacheStats()
-        self._lock = threading.RLock()
-
-    def get_or_build(
-        self,
-        key: Tuple,
-        builder: Callable[[], object],
-        build_outside_lock: bool = False,
-    ):
-        """Return the cached entry for `key`, building it on a miss.
-
-        With ``build_outside_lock`` the lock guards only the LRU bookkeeping
-        (lookup, insert, evict) and `builder` runs unlocked -- concurrent
-        misses may build twice, but the first insert wins and every caller
-        gets the winning entry.  Use it when building is expensive (key
-        decomposition, weight tensors) so other lanes are never stalled
-        behind a build.
-        """
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return cached
-            self._stats.misses += 1
-            if not build_outside_lock:
-                plan = builder()
-                self._insert(key, plan)
-                return plan
-        plan = builder()
-        with self._lock:
-            winner = self._entries.get(key)
-            if winner is not None:
-                return winner  # a concurrent build landed first
-            self._insert(key, plan)
-            return plan
-
-    def _insert(self, key: Tuple, plan: object) -> None:
-        """Insert under the held lock, evicting LRU entries past maxsize."""
-        if self.maxsize > 0:
-            self._entries[key] = plan
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._stats = PlanCacheStats()
-
-    @property
-    def stats(self) -> PlanCacheStats:
-        with self._lock:
-            return self._stats.snapshot()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._entries
-
-
-_PLAN_CACHE = PlanCache(maxsize=256)
-_STACK_CACHE = PlanCache(maxsize=64)
-
-register_cache("ntt_plans", lambda: _PLAN_CACHE.stats, lambda: len(_PLAN_CACHE))
-register_cache("ntt_stacks", lambda: _STACK_CACHE.stats,
-               lambda: len(_STACK_CACHE))
+#: Twiddle tables are a few megabytes at bootstrapping degrees, so a
+#: long-lived service cycling through parameter sets keeps a bounded memo.
+_PLANS = Cache("ntt_plans", maxsize=256)
+_STACKS = Cache("ntt_stacks", maxsize=64)
 
 
 def get_plan(degree: int, modulus: int) -> NttPlan:
@@ -829,28 +739,14 @@ def get_plan(degree: int, modulus: int) -> NttPlan:
     under :func:`modarith.object_backend` never alias the native ones.
     """
     key = (degree, modulus, modarith._BARRETT_ENABLED)
-    return _PLAN_CACHE.get_or_build(key, lambda: NttPlan(degree, modulus))
+    return _PLANS.get_or_build(key, lambda: NttPlan(degree, modulus))
 
 
 def get_stack(degree: int, moduli: Sequence[int]) -> NttStack:
     """Return the cached :class:`NttStack` for ``(degree, moduli)``; keyed
     like :func:`get_plan`."""
     key = (degree, tuple(moduli), modarith._BARRETT_ENABLED)
-    return _STACK_CACHE.get_or_build(key, lambda: NttStack(degree, key[1]))
-
-
-def clear_plan_cache() -> None:
-    """Drop every cached plan/stack and reset the counters."""
-    _PLAN_CACHE.clear()
-    _STACK_CACHE.clear()
-
-
-def plan_cache_stats() -> Dict[str, Dict[str, float]]:
-    """Point-in-time counters for the plan and stack caches."""
-    return {
-        "plans": _PLAN_CACHE.stats.as_dict(),
-        "stacks": _STACK_CACHE.stats.as_dict(),
-    }
+    return _STACKS.get_or_build(key, lambda: NttStack(degree, key[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from . import modarith
 from .modstack import ModulusStack
 from .ntt import get_plan, get_stack, is_power_of_two
 from .rns import RnsBasis
+from ..telemetry.stats import Cache
 
 
 def negacyclic_multiply_schoolbook(a, b, degree: int, modulus: int) -> np.ndarray:
@@ -49,7 +50,8 @@ def negacyclic_multiply(a, b, degree: int, modulus: int) -> np.ndarray:
     return plan.inverse(modarith.mul_mod(fa, fb, modulus))
 
 
-_AUTO_CACHE: dict = {}
+#: (galois power, degree[, "gather"]) -> the scatter or gather index maps.
+_AUTOMORPHISMS = Cache("automorphisms", maxsize=256)
 
 
 def _automorphism_tables(galois_power: int, degree: int):
@@ -59,16 +61,17 @@ def _automorphism_tables(galois_power: int, degree: int):
     kernel is a signed permutation, which is why the paper maps it to CUDA
     cores as pure data movement (Fig. 4).
     """
-    key = (galois_power, degree)
-    cached = _AUTO_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _AUTOMORPHISMS.get_or_build(
+        (galois_power, degree), lambda: _scatter_tables(galois_power, degree)
+    )
+
+
+def _scatter_tables(galois_power: int, degree: int):
     two_n = 2 * degree
     exponents = (np.arange(degree, dtype=np.int64) * galois_power) % two_n
     wraps = exponents >= degree
     dest = np.where(wraps, exponents - degree, exponents)
     sign = np.where(wraps, -1, 1).astype(np.int64)
-    _AUTO_CACHE[key] = (dest, sign)
     return dest, sign
 
 
@@ -83,15 +86,17 @@ def automorphism_gather_maps(galois_power: int, degree: int):
     step -- instead of k scatters.  Bit-identical to the scatter form:
     both move the same residues to the same places with the same signs.
     """
-    key = (galois_power, degree, "gather")
-    cached = _AUTO_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _AUTOMORPHISMS.get_or_build(
+        (galois_power, degree, "gather"),
+        lambda: _gather_maps(galois_power, degree),
+    )
+
+
+def _gather_maps(galois_power: int, degree: int):
     dest, sign = _automorphism_tables(galois_power, degree)
     src = np.empty(degree, dtype=np.int64)
     src[dest] = np.arange(degree, dtype=np.int64)
     negate = sign[src] < 0
-    _AUTO_CACHE[key] = (src, negate)
     return src, negate
 
 

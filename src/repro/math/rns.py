@@ -19,11 +19,12 @@ Two conversions are provided:
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import modarith
+from ..telemetry.stats import Cache
 from .modstack import ModulusStack
 
 
@@ -92,19 +93,17 @@ class RnsBasis:
 
 #: (from moduli, to moduli) -> the BConv matrix ``B[j, i] = q_hat_i mod p_j``
 #: as an ``(Lt, Lf)`` uint64 table.
-_BCONV_TABLE_CACHE: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray] = {}
+_BCONV_TABLES = Cache("bconv_tables", maxsize=256)
 
 
 def _bconv_table(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
-    key = (from_basis.moduli, to_basis.moduli)
-    table = _BCONV_TABLE_CACHE.get(key)
-    if table is None:
-        table = np.array(
+    return _BCONV_TABLES.get_or_build(
+        (from_basis.moduli, to_basis.moduli),
+        lambda: np.array(
             [[q_hat % p for q_hat in from_basis.q_hat] for p in to_basis.moduli],
             dtype=np.uint64,
-        )
-        _BCONV_TABLE_CACHE[key] = table
-    return table
+        ),
+    )
 
 
 def bconv_approx(

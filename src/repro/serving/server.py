@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from ..analysis.reporting import format_table
-from ..ckks.keyswitch import plan as ksplan
 from ..apps import get_application
 from ..core.neo_context import NeoContext
 from ..core.pipeline import NEO_CONFIG, PipelineConfig
@@ -30,7 +29,7 @@ from ..core.streams import ScheduledKernel, StreamScheduler
 from ..core.trace_cache import CacheStats, TraceCache
 from ..gpu.device import A100, DeviceSpec
 from ..telemetry.registry import MetricsRegistry, global_registry
-from ..telemetry.stats import all_cache_stats
+from ..telemetry.stats import Cache, all_cache_stats
 from ..telemetry.tracing import Tracer, active_tracer
 from .batcher import Batch, ContinuousBatcher
 from .overload import ADMITTED, REJECTED, SHED, AdmissionController, OverloadPolicy
@@ -53,7 +52,7 @@ MAX_KERNEL_SPANS = 64
 #: placement is a pure function of (params, config, app, size, streams,
 #: limit), so fresh Server instances share already-simulated shapes --
 #: keeps first-drain telemetry cost flat across servers.
-_SPAN_DESCRIPTOR_CACHE: Dict[tuple, tuple] = {}
+_SPAN_DESCRIPTORS = Cache("span_descriptors", maxsize=1024)
 
 
 class NeoServiceModel:
@@ -99,7 +98,6 @@ class NeoServiceModel:
         self._tuned_roots: Dict[str, NeoContext] = {}
         self._tuned_choices: Dict[str, object] = {}
         self._apps: Dict[str, object] = {}
-        self._span_cache = _SPAN_DESCRIPTOR_CACHE
 
     def _app(self, app: str):
         if app not in self._apps:
@@ -173,9 +171,8 @@ class NeoServiceModel:
         service time, so batch sub-spans land inside the batch span exactly.
         """
         root = self._root_for(app)
-        key = (root.params, root.config, app, size, streams, limit)
-        cached = self._span_cache.get(key)
-        if cached is None:
+
+        def build() -> tuple:
             ctx = root.with_batch(size)
             trace = ctx.application_trace(self._app(app))
             result = StreamScheduler(ctx.device, streams).run(trace)
@@ -185,9 +182,11 @@ class NeoServiceModel:
                 (k.name, k.resource, k.stream, k.start_s * scale, k.end_s * scale)
                 for k in result.timeline[:limit]
             )
-            cached = (descriptors, len(result.timeline))
-            self._span_cache[key] = cached
-        return cached
+            return (descriptors, len(result.timeline))
+
+        return _SPAN_DESCRIPTORS.get_or_build(
+            (root.params, root.config, app, size, streams, limit), build
+        )
 
     def noise_trajectory(self, app: str):
         """Modeled noise-budget series of one `app` run (per schedule level)."""
@@ -236,10 +235,6 @@ class ServingReport:
     #: Peak queue fill fraction in [0, 1] (0.0 for unbounded queues).
     peak_pressure: float = 0.0
     cache: CacheStats = field(default_factory=CacheStats)
-    #: Key-switch / rotation op-plan cache counters (hits, misses,
-    #: evictions, hit_rate) snapshotted at drain time -- shows how much
-    #: GEMM-plan compilation the serving run amortised.
-    op_plans: Dict[str, float] = field(default_factory=dict)
     #: Every registered cache surface (trace cache, NTT plan/stack caches,
     #: op-plan cache, ...) as ``{name: {hits, misses, evictions, hit_rate}}``
     #: -- the unified view :mod:`repro.telemetry.stats` keeps per process.
@@ -476,13 +471,6 @@ class ServingReport:
             f"{self.cache.hits} hits / {self.cache.misses} misses "
             f"({100 * self.cache.hit_rate:.1f}% hit rate)"
         )
-        if self.op_plans:
-            lines.append(
-                "op-plan cache: "
-                f"{int(self.op_plans.get('hits', 0))} hits / "
-                f"{int(self.op_plans.get('misses', 0))} misses "
-                f"({100 * self.op_plans.get('hit_rate', 0.0):.1f}% hit rate)"
-            )
         if self.caches:
             rows = [
                 [
@@ -834,7 +822,6 @@ class Server:
             queue_capacity=queue.capacity,
             peak_pressure=controller.peak_pressure if controller else 0.0,
             cache=self.model.cache_stats(),
-            op_plans=ksplan.keyswitch_plan_cache_stats(),
             caches=caches,
             tuned=(
                 self.model.tuned_summary()

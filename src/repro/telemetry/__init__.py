@@ -9,8 +9,9 @@ roadmap items report through:
   exporters; near-zero cost while disabled.
 * :mod:`repro.telemetry.tracing` -- request-scoped span traces (simulated
   *and* wall clock) exported as Chrome-trace JSON and JSONL.
-* :mod:`repro.telemetry.stats` -- the one :class:`CacheStats` type every
-  cache shares, plus the process-wide cache directory.
+* :mod:`repro.telemetry.stats` -- the one bounded LRU :class:`Cache` every
+  process-wide memo is built on, its :class:`CacheStats` counters, and the
+  registry of named caches (:func:`all_cache_stats`, :func:`clear_caches`).
 * :mod:`repro.telemetry.fhe` -- noise-budget / level / scale-drift meters
   over the CKKS evaluator and analytic serving schedules.
 * :mod:`repro.telemetry.bench_history` -- ``BENCH_<name>.json`` recorder
@@ -33,14 +34,7 @@ from .registry import (
     global_registry,
     telemetry_enabled,
 )
-from .stats import (
-    CacheStats,
-    all_cache_sizes,
-    all_cache_stats,
-    cache_stats,
-    register_cache,
-    registered_caches,
-)
+from .stats import Cache, CacheStats, all_cache_sizes, all_cache_stats, clear_caches
 from .tracing import (
     Span,
     SpanNode,
@@ -76,6 +70,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "Cache",
     "CacheStats",
     "Counter",
     "DEFAULT_BUCKETS",
@@ -89,13 +84,11 @@ __all__ = [
     "active_tracer",
     "all_cache_sizes",
     "all_cache_stats",
-    "cache_stats",
+    "clear_caches",
     "deactivate_tracer",
     "disable_telemetry",
     "enable_telemetry",
     "global_registry",
-    "register_cache",
-    "registered_caches",
     "span",
     "telemetry_enabled",
     # lazy (repro.telemetry.fhe / bench_history)

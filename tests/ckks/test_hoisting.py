@@ -6,6 +6,7 @@ import pytest
 from repro.ckks.hoisting import hoisted_rotations, hoisting_modup_savings
 from repro.ckks.keys import rotation_galois_power
 from repro.ckks.keyswitch import plan as ksplan
+from repro.telemetry.stats import all_cache_stats
 
 from .conftest import random_slots
 
@@ -112,11 +113,11 @@ class TestPlanCache:
     def test_repeat_rotations_hit_the_plan_cache(self, params, keyset, encrypted):
         _, ct = encrypted
         hoisted_rotations(ct, STEPS, keyset["galois"], params)  # build
-        before = ksplan.keyswitch_plan_cache_stats()
+        before = all_cache_stats()["op_plans"]
         hoisted_rotations(ct, STEPS, keyset["galois"], params)
-        after = ksplan.keyswitch_plan_cache_stats()
-        assert after["misses"] == before["misses"]
-        assert after["hits"] > before["hits"]
+        after = all_cache_stats()["op_plans"]
+        assert after.misses == before.misses
+        assert after.hits > before.hits
 
 
 class TestSavings:

@@ -16,13 +16,22 @@ import pytest
 from repro.ckks.keys import KeyGenerator, sample_uniform
 from repro.ckks.keyswitch import hybrid, klss, plan
 from repro.ckks.params import KlssConfig, small_test_parameters
+from repro.telemetry.stats import all_cache_sizes, all_cache_stats, clear_caches
 
 
 @pytest.fixture(autouse=True)
-def _fresh_plan_cache():
-    plan.clear_keyswitch_plan_cache()
+def _fresh_caches():
+    clear_caches()
     yield
-    plan.clear_keyswitch_plan_cache()
+    clear_caches()
+
+
+def _plan_stats():
+    return all_cache_stats()["op_plans"].as_dict()
+
+
+def _plan_count():
+    return all_cache_sizes()["op_plans"]
 
 
 def _key_and_params(alpha_tilde=2):
@@ -90,24 +99,24 @@ class TestCacheStats:
         rng = np.random.default_rng(0)
         poly = sample_uniform(params.degree, params.q_basis(2), rng)
         hybrid.keyswitch(poly, ksk, params)
-        stats = plan.keyswitch_plan_cache_stats()
+        stats = _plan_stats()
         assert stats["misses"] == 1
         hybrid.keyswitch(poly, ksk, params)
-        stats = plan.keyswitch_plan_cache_stats()
+        stats = _plan_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert 0 < stats["hit_rate"] < 1
-        assert plan.keyswitch_plan_cache_size() == 1
+        assert _plan_count() == 1
 
     def test_clear_resets(self):
         params, ksk = _key_and_params()
         rng = np.random.default_rng(0)
         poly = sample_uniform(params.degree, params.q_basis(1), rng)
         klss.keyswitch(poly, ksk, params)
-        plan.clear_keyswitch_plan_cache()
-        stats = plan.keyswitch_plan_cache_stats()
+        clear_caches()
+        stats = _plan_stats()
         assert stats == {"hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0}
-        assert plan.keyswitch_plan_cache_size() == 0
+        assert _plan_count() == 0
 
 
 class TestThreadSafety:
@@ -125,7 +134,7 @@ class TestThreadSafety:
         poly = sample_uniform(params.degree, params.q_basis(level), rng)
         ref_h = hybrid.keyswitch(poly, ksk, params)
         ref_k = klss.keyswitch(poly, ksk, params)
-        plan.clear_keyswitch_plan_cache()
+        clear_caches()
 
         n_threads = 8
         barrier = threading.Barrier(n_threads)
@@ -155,8 +164,8 @@ class TestThreadSafety:
                 assert np.array_equal(got.stack, want.stack)
         # Two methods at one level: exactly two live cache entries, and
         # every lookup after the winning inserts was a hit.
-        assert plan.keyswitch_plan_cache_size() == 2
-        stats = plan.keyswitch_plan_cache_stats()
+        assert _plan_count() == 2
+        stats = _plan_stats()
         assert stats["hits"] + stats["misses"] == 2 * n_threads
         assert stats["hits"] >= 0  # duplicate builds allowed, losers discarded
 
@@ -169,7 +178,7 @@ class TestThreadSafety:
             for lvl in levels
         }
         refs = {lvl: hybrid.keyswitch(polys[lvl], ksk, params) for lvl in levels}
-        plan.clear_keyswitch_plan_cache()
+        clear_caches()
 
         barrier = threading.Barrier(len(levels))
         errors = []
@@ -189,7 +198,7 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not errors
-        assert plan.keyswitch_plan_cache_size() == len(levels)
+        assert _plan_count() == len(levels)
 
 
 class TestOperandTraffic:

@@ -7,10 +7,17 @@
 * ``--update-golden`` regenerates the frozen trace fixtures under
   ``tests/fixtures/`` instead of diffing against them (see
   ``tests/core/test_golden_traces.py``).
+* Every test runs under a guard that the set of named caches
+  (:mod:`repro.telemetry.stats`) is the same after it as before: a name a
+  test registers would show up in every later serving report.
 """
 
 import numpy as np
 import pytest
+
+import repro  # noqa: F401  (importing both creates every named cache)
+import repro.serving  # noqa: F401
+from repro.telemetry.stats import all_cache_sizes
 
 DEFAULT_SEED = 2024
 
@@ -50,3 +57,10 @@ def rng(seed):
 @pytest.fixture()
 def update_golden(request):
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture(autouse=True)
+def _named_caches_unchanged():
+    before = set(all_cache_sizes())
+    yield
+    assert set(all_cache_sizes()) == before, "the test changed the named caches"

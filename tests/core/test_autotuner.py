@@ -14,12 +14,12 @@ from repro.core.autotuner import (
     TuningResult,
     TuningStore,
     best_configuration,
-    clear_cost_builder_caches,
     hybrid_vs_best_klss,
     tune_app,
     tune_keyswitch,
 )
-from repro.gpu.device import A100, L4
+from repro.gpu.device import A100, H100, L4
+from repro.telemetry.stats import clear_caches
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ SMALL_GRID = dict(dnums=(6, 9), alpha_tildes=(4, 5), wordsizes_t=(48,))
 
 class TestSharedCacheSweep:
     def test_warm_sweep_reports_cache_hits(self):
-        clear_cost_builder_caches()
+        clear_caches()
         results = tune_keyswitch(get_set("B"), **SMALL_GRID)
         # The grid points share the plan/trace caches: after the first
         # point warms them, subsequent points hit.
@@ -94,7 +94,7 @@ class TestSharedCacheSweep:
         base = get_set("B")
         for r in tune_keyswitch(base, **SMALL_GRID):
             params = dataclasses.replace(base, dnum=r.dnum, klss=r.config())
-            clear_cost_builder_caches()
+            clear_caches()
             cold = NeoContext(params, trace_cache=TraceCache(maxsize=0))
             assert cold.keyswitch_time_us(base.max_level) == pytest.approx(
                 r.keyswitch_us
@@ -183,11 +183,15 @@ class TestTuningStore:
         assert len(store) == 2
         assert a100.best.device_name != l4.best.device_name
 
-    def test_fifo_eviction(self):
-        store = TuningStore(maxsize=1)
-        store.get_or_tune("helr", params=get_set("C"), device=A100)
-        store.get_or_tune("helr", params=get_set("C"), device=L4)
-        assert len(store) == 1
+    def test_lru_eviction(self):
+        store = TuningStore(maxsize=2)
+        keys = [TuningStore.key("C", "helr", dev, "quick") for dev in (A100, L4, H100)]
+        store.get_or_build(keys[0], object)
+        store.get_or_build(keys[1], object)
+        store.get_or_build(keys[0], object)  # read again: now the newest entry
+        store.get_or_build(keys[2], object)  # passes maxsize: evicts keys[1]
+        assert keys[0] in store and keys[2] in store and keys[1] not in store
+        assert len(store) == 2
         assert store.stats.evictions == 1
 
     def test_model_version_tags_keys(self):

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import get_application
 from repro.core import (
+    GLOBAL_TRACE_CACHE,
     HEONGPU_CONFIG,
     NEO_CONFIG,
     TENSORFHE_CONFIG,
     NeoContext,
     OperationPipeline,
     TraceCache,
-    default_trace_cache,
     profile_application,
 )
 from repro.core.profiling import chrome_trace_json
@@ -134,7 +134,7 @@ class TestPipelineCaching:
     def test_contexts_share_default_cache(self):
         a = NeoContext("C", config=NEO_CONFIG)
         b = NeoContext("C", config=NEO_CONFIG)
-        assert a.trace_cache is b.trace_cache is default_trace_cache()
+        assert a.trace_cache is b.trace_cache is GLOBAL_TRACE_CACHE
         assert a.operation_trace("hmult", 30) is b.operation_trace("hmult", 30)
 
     def test_distinct_batches_do_not_alias(self):

@@ -10,11 +10,10 @@ from repro.gpu.multi_gpu import (
     NVLINK3,
     Interconnect,
     MultiGpuModel,
-    clear_single_gpu_time_cache,
-    single_gpu_time_cache_size,
     single_gpu_time_s,
 )
 from repro.gpu.trace import ExecutionTrace
+from repro.telemetry.stats import all_cache_sizes, clear_caches
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +23,13 @@ def hmult_trace():
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_single_gpu_time_cache()
+    clear_caches()
     yield
-    clear_single_gpu_time_cache()
+    clear_caches()
+
+
+def _resident_times():
+    return all_cache_sizes()["single_gpu_times"]
 
 
 class TestPlanAwareExchange:
@@ -108,18 +111,18 @@ class TestCorners:
 class TestSingleTimeCache:
     def test_speedup_uses_cached_reference(self, hmult_trace):
         model = MultiGpuModel(4)
-        assert single_gpu_time_cache_size() == 0
+        assert _resident_times() == 0
         first = model.speedup(hmult_trace)
-        assert single_gpu_time_cache_size() == 1
+        assert _resident_times() == 1
         # Repeats (and other fleet sizes on the same trace) reuse the entry.
         assert model.speedup(hmult_trace) == first
         MultiGpuModel(8).scaling_efficiency(hmult_trace)
-        assert single_gpu_time_cache_size() == 1
+        assert _resident_times() == 1
 
     def test_cache_keys_on_streams(self, hmult_trace):
         single_gpu_time_s(hmult_trace, streams=8)
         single_gpu_time_s(hmult_trace, streams=4)
-        assert single_gpu_time_cache_size() == 2
+        assert _resident_times() == 2
 
     def test_cached_value_matches_direct(self, hmult_trace):
         cached = single_gpu_time_s(hmult_trace)
@@ -127,6 +130,6 @@ class TestSingleTimeCache:
 
     def test_clear(self, hmult_trace):
         single_gpu_time_s(hmult_trace)
-        assert single_gpu_time_cache_size() == 1
-        clear_single_gpu_time_cache()
-        assert single_gpu_time_cache_size() == 0
+        assert _resident_times() == 1
+        clear_caches()
+        assert _resident_times() == 0

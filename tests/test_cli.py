@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.telemetry.stats import all_cache_sizes
 
 
 def test_params_all(capsys):
@@ -139,7 +140,8 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "# TYPE serving_requests_total counter" in out
         assert "# TYPE serving_latency_seconds histogram" in out
-        assert 'cache_hit_rate{cache="trace_cache"}' in out
+        for name in all_cache_sizes():  # one gauge per named cache
+            assert f'cache_hit_rate{{cache="{name}"}}' in out
         assert "fhe_noise_budget_bits_modeled" in out
 
     def test_json_output(self, capsys):
