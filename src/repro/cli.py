@@ -327,7 +327,7 @@ def cmd_serve(args) -> int:
         parse_workload_spec,
         synthesize_arrivals,
     )
-    from .gpu import get_device
+    from .gpu import DeviceCapabilityError, get_device
     from .serving.policies import POLICIES
 
     try:
@@ -399,13 +399,20 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.wall_clock:
-        from .serving import run_wall_clock
+    try:
+        if args.wall_clock:
+            from .serving import run_wall_clock
 
-        report = run_wall_clock(server, requests, time_scale=args.time_scale)
-    else:
-        server.submit_many(requests)
-        report = server.drain()
+            report = run_wall_clock(server, requests, time_scale=args.time_scale)
+        else:
+            server.submit_many(requests)
+            report = server.drain()
+    except DeviceCapabilityError as exc:
+        print(
+            f"{exc}; add --autotune to pick a configuration this device supports",
+            file=sys.stderr,
+        )
+        return 2
     _print(
         f"workload {args.workload!r} (seed {args.seed}): "
         + ", ".join(f"{p.count}x {p.app} @ {p.rate_hz:g}/s" for p in phases)

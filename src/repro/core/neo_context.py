@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional
 from ..ckks.params import ParameterSet, get_set
 from ..gpu.device import A100, DeviceSpec
 from ..gpu.kernels import KernelCost
-from ..gpu.trace import ExecutionTrace
+from ..gpu.trace import ExecutionTrace, TracePrice, price
 from .bconv_matmul import bconv_cost
 from .ip_matmul import ip_cost
 from .pipeline import NEO_CONFIG, OperationPipeline, PipelineConfig
@@ -173,19 +173,43 @@ class NeoContext:
                 )
         return ExecutionTrace(events)
 
+    def schedule_price(
+        self, schedule: Mapping[str, Mapping[str, int]], streams: Optional[int] = None
+    ) -> TracePrice:
+        """The :class:`~repro.gpu.trace.TracePrice` of a schedule, priced once.
+
+        The record is memoised in this context's trace cache under
+        (params, config, batch, ``"price"``, device, streams, schedule):
+        the device is the batch-derated one, and the schedule part keeps
+        the schedule's insertion order and drops counts <= 0, exactly as
+        :meth:`schedule_trace` assembles events -- event order decides the
+        float sums.  ``streams`` defaults to the config's.
+        """
+        streams = self.config.streams if streams is None else streams
+        cells = tuple(
+            (int(level), tuple((op, count) for op, count in ops.items() if count > 0))
+            for level, ops in schedule.items()
+        )
+        key = (self.params, self.config, self.batch, "price", self.device, streams, cells)
+        return self.pipeline.cache.get_or_build(
+            key, lambda: price(self.schedule_trace(schedule), self.device, streams)
+        )
+
     def schedule_time_s(self, schedule: Mapping[str, Mapping[str, int]]) -> float:
         """Run an application schedule: ``{level: {operation: count}}``.
 
         Levels may be strings or ints; counts are numbers of batched
         operations at that level.
         """
-        return self.schedule_trace(schedule).overlapped_time_s(
-            self.device, self.config.streams
-        )
+        return self.schedule_price(schedule).overlapped_s
 
     def application_trace(self, app) -> ExecutionTrace:
         """The full trace of one application (anything with ``.schedule``)."""
         return self.schedule_trace(app.schedule(self.params))
+
+    def application_price(self, app, streams: Optional[int] = None) -> TracePrice:
+        """The memoised :meth:`schedule_price` of one application's schedule."""
+        return self.schedule_price(app.schedule(self.params), streams)
 
     def application_time(self, app, per_ciphertext: bool = True) -> float:
         """End-to-end application time, seconds.

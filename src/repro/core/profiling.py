@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.reporting import format_table
-from ..gpu.trace import ExecutionTrace
+from ..gpu.trace import ExecutionTrace, TracePrice, price
 from .neo_context import NeoContext
 from .streams import ScheduledKernel, ScheduleResult, StreamScheduler
 from .trace_cache import CacheStats
@@ -59,6 +59,8 @@ class ApplicationProfile:
     per_kernel_bytes: Dict[str, float] = field(default_factory=dict)
     kernel_events: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
+    #: The pricing record ``total_s``/``serial_s``/``per_kernel`` come from.
+    price: Optional[TracePrice] = None
 
     @property
     def per_ciphertext_s(self) -> float:
@@ -76,8 +78,15 @@ class ApplicationProfile:
             if self.total_s
             else "  serial             : 0 s",
             f"  kernel events      : {self.kernel_events}",
-            "",
         ]
+        if self.price is not None:
+            p = self.price
+            lines.append(
+                f"  binding            : {p.binding}  (cuda {p.cuda_s:.4f} s, "
+                f"tcu {p.tcu_s:.4f} s, memory {p.memory_s:.4f} s, "
+                f"launch {p.launch_s:.4f} s)"
+            )
+        lines.append("")
         op_rows = [
             [
                 op.name,
@@ -147,23 +156,24 @@ def profile_schedule(
             slot[3] += moved
 
     full = ctx.schedule_trace(schedule)
-    per_kernel: Dict[str, float] = full.breakdown_s(ctx.device)
+    record = price(full, ctx.device, ctx.config.streams)
     return ApplicationProfile(
         app=app_name,
         system=type(ctx).__name__,
         params=ctx.params.name,
         batch=ctx.batch,
         streams=ctx.config.streams,
-        total_s=full.overlapped_time_s(ctx.device, ctx.config.streams),
-        serial_s=full.serial_time_s(ctx.device),
+        total_s=record.overlapped_s,
+        serial_s=record.serial_s,
         per_op={
             name: OpProfile(name, int(c), s, l, b)
             for name, (c, s, l, b) in per_op.items()
         },
-        per_kernel=per_kernel,
-        per_kernel_bytes=full.bytes_by_kernel(),
+        per_kernel={row.name: row.serial_s for row in record.kernels},
+        per_kernel_bytes={row.name: row.bytes for row in record.kernels},
         kernel_events=len(full),
         cache=ctx.cache_stats(),
+        price=record,
     )
 
 

@@ -2,11 +2,11 @@
 
 Neo partitions kernels across CUDA streams so that when tensor-core work
 in one stream stalls, CUDA-core work from another stream fills the idle
-cycles.  :meth:`repro.gpu.trace.ExecutionTrace.overlapped_time_s` models
-this with an analytic per-resource bound; this module *simulates* it:
-kernels are assigned to streams, streams issue in order, and each kernel
-occupies its dominant execution resource (CUDA cores, tensor cores, or
-DRAM bandwidth) exclusively for its duration.
+cycles.  :func:`repro.gpu.trace.price` models this with an analytic
+per-resource bound; this module *simulates* it: kernels are assigned to
+streams, streams issue in order, and each kernel occupies its dominant
+execution resource (CUDA cores, tensor cores, or DRAM bandwidth)
+exclusively for its duration.
 
 The simulated makespan always lies between the analytic lower bound and
 the serial time (the test-suite asserts it), and the timeline can be
@@ -96,16 +96,14 @@ class StreamScheduler:
         self.streams = streams
 
     def _classify(self, cost: KernelCost) -> tuple:
-        """(dominant resource, duration) of one kernel."""
-        cuda = cost.cuda_flops / self.device.cuda_fp64_flops if cost.cuda_flops else 0.0
-        tcu = 0.0
-        if cost.tcu_fp64_flops:
-            tcu += cost.tcu_fp64_flops / self.device.tcu_fp64_flops
-        if cost.tcu_int8_ops:
-            tcu += cost.tcu_int8_ops / self.device.tcu_int8_ops
-        memory = cost.memory_time_s(self.device)
+        """(dominant resource, duration) of one kernel.
+
+        Raises :class:`~repro.gpu.kernels.DeviceCapabilityError`, as pricing
+        does, for tensor-core work on a device without that tensor core.
+        """
+        cuda, fp64, int8, memory = cost.roofline(self.device)[:4]
         launch = cost.launches * self.device.kernel_launch_us * 1e-6
-        times = {"cuda": cuda, "tcu": tcu, "memory": memory}
+        times = {"cuda": cuda, "tcu": fp64 + int8, "memory": memory}
         resource = max(times, key=times.get)
         duration = max(times.values()) + launch
         return resource, max(duration, 1e-12)

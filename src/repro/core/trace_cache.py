@@ -1,4 +1,4 @@
-"""Keyed LRU cache of :class:`~repro.gpu.trace.ExecutionTrace` objects.
+"""Keyed LRU cache of execution traces and their prices.
 
 Trace construction is deterministic: the same (parameter set, pipeline
 config, batch, operation, level) always yields the same event list, yet the
@@ -11,8 +11,15 @@ this module is the model-side mirror of that idea.
 Keys must be fully value-based: :class:`~repro.ckks.params.ParameterSet`
 and :class:`~repro.core.pipeline.PipelineConfig` are frozen dataclasses, so
 two pipelines built from equal inputs share cached traces even across
-contexts.  The device is deliberately *not* part of the key -- traces
+contexts.  The device is deliberately *not* part of a trace key -- traces
 describe resource demands, and devices only enter when a trace is timed.
+
+Beside the traces the same cache holds what timing them produced:
+:meth:`~repro.core.neo_context.NeoContext.schedule_price` stores one
+:class:`~repro.gpu.trace.TracePrice` per (params, config, batch,
+``"price"``, device, streams, schedule), so a schedule shape is priced once
+per cache.  Price entries live and die with the cache that holds the
+traces they were priced from (``maxsize=0`` re-prices on every call).
 
 Cached traces are returned ``frozen()`` (tuple-backed event lists), so a
 cache hit can be handed to many callers without aliasing hazards.
@@ -23,30 +30,38 @@ a serving model or a tuning sweep creates for itself stay unnamed.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Tuple
+from typing import Any, Callable, Hashable, Tuple
 
 from ..gpu.trace import ExecutionTrace
 from ..telemetry.stats import Cache, CacheStats
 
-#: A fully value-based cache key: (params, config, batch, operation, level).
+#: A fully value-based cache key: (params, config, batch, operation, level),
+#: or (params, config, batch, "price", device, streams, schedule).
 TraceKey = Tuple[Hashable, ...]
 
 __all__ = ["CacheStats", "TraceCache", "TraceKey", "GLOBAL_TRACE_CACHE"]
 
 
 class TraceCache(Cache):
-    """An LRU-bounded map from :data:`TraceKey` to frozen traces.
+    """An LRU-bounded map from :data:`TraceKey` to frozen traces and prices.
 
     ``maxsize=0`` disables storage entirely (every lookup misses and the
-    freshly built trace is returned uncached) -- the benchmarks use this to
+    freshly built value is returned uncached) -- the benchmarks use this to
     time the uncached construction path against the cached one.
     """
 
-    def get_or_build(
-        self, key: TraceKey, build: Callable[[], ExecutionTrace]
-    ) -> ExecutionTrace:
-        """The cached trace for `key`, building (and storing) it frozen on a miss."""
-        return super().get_or_build(key, lambda: build().frozen())
+    def get_or_build(self, key: TraceKey, build: Callable[[], Any]) -> Any:
+        """The cached value for `key`, built (and stored) on a miss.
+
+        Traces are stored ``frozen()``; any other value (a price record)
+        is stored as built.
+        """
+
+        def build_frozen():
+            value = build()
+            return value.frozen() if isinstance(value, ExecutionTrace) else value
+
+        return super().get_or_build(key, build_frozen)
 
 
 #: Process-wide default cache shared by every pipeline that is not handed

@@ -6,13 +6,16 @@ memory, and how many kernel launches it needs.  Time on a device follows a
 roofline: ``launches * launch_us + max(compute_time, memory_time)``, with
 the compute side serialised across components *within* one kernel (streams
 overlap components across kernels -- see :mod:`repro.gpu.trace`).
+:meth:`KernelCost.roofline` prices those terms in one place; ``time_s``,
+the trace pass :func:`repro.gpu.trace.price` and the stream scheduler all
+start from it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from ..telemetry.stats import Cache
 from .device import DeviceSpec
@@ -38,6 +41,15 @@ ELEMENTWISE_FLOPS = 2.0
 #: the L2 cache absorbs part of that redundancy, so the DRAM amplification
 #: of a poor-reuse kernel saturates around this factor.
 CACHE_REREAD_CAP = 8.0
+
+
+class DeviceCapabilityError(ValueError):
+    """A kernel needs an execution unit the device does not have.
+
+    A ``ValueError``, so config searches that prune infeasible points with
+    ``except ValueError`` (the autotuner) keep working.
+    """
+
 
 #: Bytes of one stored polynomial coefficient (64-bit words for WordSize > 32).
 def word_bytes(wordsize: int) -> int:
@@ -68,48 +80,58 @@ class KernelCost:
 
     # -- timing ----------------------------------------------------------------
 
+    def roofline(self, device: DeviceSpec) -> Tuple[float, ...]:
+        """The roofline terms and time of this kernel on `device`.
+
+        ``(cuda_s, tcu_fp64_s, tcu_int8_s, memory_s, launches, time_s)``:
+        seconds on each compute component and on global memory, the launch
+        count, and the kernel's time ``launches * launch_us + max(compute,
+        memory)``, the compute side serialised as CUDA, then FP64, then
+        INT8.  Devices with ``memory_model="hier"`` split the traffic across
+        the L2/HBM tiers from the kernel's :class:`TrafficProfile` and add
+        its tiled-execution launches; flat devices (the default) price the
+        recorded bytes at HBM bandwidth.  Tensor-core work on a device
+        without that tensor core raises :class:`DeviceCapabilityError`.
+        """
+        cuda = fp64 = int8 = 0.0
+        if self.cuda_flops:
+            cuda = self.cuda_flops / device.cuda_fp64_flops
+        if self.tcu_fp64_flops:
+            rate = device.tcu_fp64_flops
+            if rate == 0:
+                raise DeviceCapabilityError(f"{device.name} has no FP64 tensor cores")
+            fp64 = self.tcu_fp64_flops / rate
+        if self.tcu_int8_ops:
+            rate = device.tcu_int8_ops
+            if rate == 0:
+                raise DeviceCapabilityError(f"{device.name} has no INT8 tensor cores")
+            int8 = self.tcu_int8_ops / rate
+        compulsory = self.bytes_read + self.bytes_written
+        if device.memory_model == "hier":
+            memory = hier_memory_time_s(compulsory, self.traffic, device)
+            launches = self.launches + extra_launches(self.traffic)
+        else:
+            memory = compulsory / device.memory_bytes_per_s
+            launches = self.launches
+        time = launches * device.kernel_launch_us * 1e-6 + max(cuda + fp64 + int8, memory)
+        return cuda, fp64, int8, memory, launches, time
+
     def compute_time_s(self, device: DeviceSpec) -> float:
         """Serialised compute time over all components, seconds."""
-        time = 0.0
-        if self.cuda_flops:
-            time += self.cuda_flops / device.cuda_fp64_flops
-        if self.tcu_fp64_flops:
-            if device.tcu_fp64_flops == 0:
-                raise ValueError(f"{device.name} has no FP64 tensor cores")
-            time += self.tcu_fp64_flops / device.tcu_fp64_flops
-        if self.tcu_int8_ops:
-            if device.tcu_int8_ops == 0:
-                raise ValueError(f"{device.name} has no INT8 tensor cores")
-            time += self.tcu_int8_ops / device.tcu_int8_ops
-        return time
+        cuda, fp64, int8 = self.roofline(device)[:3]
+        return cuda + fp64 + int8
 
     def memory_time_s(self, device: DeviceSpec) -> float:
-        """Global-memory transfer time, seconds.
-
-        Devices with ``memory_model="hier"`` split the traffic across the
-        L2/HBM tiers from the kernel's :class:`TrafficProfile`; flat
-        devices (the default) price the recorded bytes at HBM bandwidth
-        exactly as before.
-        """
-        if device.memory_model == "hier":
-            return hier_memory_time_s(
-                self.bytes_read + self.bytes_written, self.traffic, device
-            )
-        return (self.bytes_read + self.bytes_written) / device.memory_bytes_per_s
+        """Global-memory transfer time, seconds (flat or ``hier``)."""
+        return self.roofline(device)[3]
 
     def effective_launches(self, device: DeviceSpec) -> float:
         """Launches including tiled-execution launches under ``hier``."""
-        if device.memory_model == "hier":
-            return self.launches + extra_launches(self.traffic)
-        return self.launches
+        return self.roofline(device)[4]
 
     def time_s(self, device: DeviceSpec) -> float:
         """Roofline execution time on `device`, seconds."""
-        if device.memory_model == "hier":
-            overhead = self.effective_launches(device) * device.kernel_launch_us * 1e-6
-        else:
-            overhead = self.launches * device.kernel_launch_us * 1e-6
-        return overhead + max(self.compute_time_s(device), self.memory_time_s(device))
+        return self.roofline(device)[5]
 
     def time_us(self, device: DeviceSpec) -> float:
         return self.time_s(device) * 1e6

@@ -1,10 +1,19 @@
-"""Execution traces: sequences of kernel costs with stream-overlap timing.
+"""Execution traces: sequences of kernel costs, priced in one pass.
 
 Neo partitions work across CUDA streams so tensor-core and CUDA-core phases
-of different batches overlap (Section 4.6).  The trace model exposes both
-the serial time (one stream, kernels back to back) and the overlapped time
-(the per-resource lower bound that perfect multi-stream scheduling
-approaches, never beating any single resource's total demand).
+of different batches overlap (Section 4.6).  :func:`price` walks a trace
+once, left to right, and returns a :class:`TracePrice`: the serial time
+(one stream, kernels back to back), the overlapped time (the per-resource
+lower bound that perfect multi-stream scheduling approaches, never beating
+any single resource's total demand), the per-resource terms that bound
+it, the binding term, and per-kernel serial seconds and bytes.  Every
+timing reader -- ``serial_time_s``, ``overlapped_time_s``, ``breakdown_s``,
+the profiler, the multi-GPU model, and the memoised schedule prices of
+:class:`~repro.core.neo_context.NeoContext` -- reads that one record.
+
+Totals are ``+=`` folds in event order, never ``sum()``: CPython 3.12 made
+``sum()`` of floats compensated, which would move modeled times (and the
+serving timelines they clock) with the interpreter version.
 """
 
 from __future__ import annotations
@@ -13,10 +22,93 @@ import dataclasses
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .device import DeviceSpec
 from .kernels import KernelCost
+
+
+class KernelRow(NamedTuple):
+    """Serial seconds and global-memory bytes of every event of one kernel name."""
+
+    name: str
+    serial_s: float
+    bytes: float
+
+
+@dataclass(frozen=True)
+class TracePrice:
+    """Every term of one trace's price on one device at one stream count.
+
+    ``overlapped_s == min(serial_s, max(max(cuda_s, tcu_s, memory_s) +
+    launch_s, serial_s / streams))``, and ``binding`` names the term that
+    set it: ``"serial"`` (no overlap: one stream, or the bound reaches the
+    serial time), ``"streams"`` (the finite-parallelism clamp ``serial_s /
+    streams``), or the busiest resource, ``"cuda"``, ``"tcu"`` or
+    ``"memory"``.  ``launch_s`` is the launch overhead amortised over the
+    streams.  The record holds no per-event data, so it is cheap to memoise.
+    """
+
+    serial_s: float
+    overlapped_s: float
+    cuda_s: float
+    tcu_s: float
+    memory_s: float
+    launch_s: float
+    binding: str
+    #: Per-kernel-name rows, in order of first appearance.
+    kernels: Tuple[KernelRow, ...]
+
+
+def price(trace: "ExecutionTrace", device: DeviceSpec, streams: int = 8) -> TracePrice:
+    """Price `trace` on `device` with `streams` CUDA streams, in one pass.
+
+    Overlap model: with ``streams > 1``, work on different components (CUDA
+    cores, FP64 TCU, INT8 TCU, memory) proceeds concurrently across
+    streams, so the makespan approaches the busiest resource's total
+    demand; launch overhead is amortised across streams.  The result is
+    clamped to never beat ``serial / streams`` (finite parallelism) and
+    never exceed the serial time.  Raises
+    :class:`~repro.gpu.kernels.DeviceCapabilityError` for tensor-core work
+    on a device without that tensor core.
+    """
+    cuda = fp64 = int8 = memory = launches = serial = 0.0
+    seconds: Dict[str, float] = {}
+    moved: Dict[str, float] = {}
+    for event in trace.events:
+        c, f, i, m, n, time = event.roofline(device)
+        cuda += c
+        fp64 += f
+        int8 += i
+        memory += m
+        launches += n
+        serial += time
+        name = event.name
+        seconds[name] = seconds.get(name, 0.0) + time
+        moved[name] = moved.get(name, 0.0) + (event.bytes_read + event.bytes_written)
+    tcu = fp64 + int8
+    launch = launches * device.kernel_launch_us * 1e-6 / max(streams, 1)
+    overlapped, binding = serial, "serial"
+    if streams > 1:
+        peak = max(cuda, tcu, memory)
+        bound = peak + launch
+        clamp = serial / streams
+        if max(bound, clamp) < serial:
+            if bound >= clamp:
+                overlapped = bound
+                binding = "cuda" if cuda == peak else "tcu" if tcu == peak else "memory"
+            else:
+                overlapped, binding = clamp, "streams"
+    return TracePrice(
+        serial_s=serial,
+        overlapped_s=overlapped,
+        cuda_s=cuda,
+        tcu_s=tcu,
+        memory_s=memory,
+        launch_s=launch,
+        binding=binding,
+        kernels=tuple(KernelRow(k, seconds[k], moved[k]) for k in seconds),
+    )
 
 
 @dataclass(eq=False)
@@ -67,58 +159,11 @@ class ExecutionTrace:
 
     def serial_time_s(self, device: DeviceSpec) -> float:
         """Single-stream execution: kernels run strictly back to back."""
-        return sum(event.time_s(device) for event in self.events)
+        return price(self, device, 1).serial_s
 
     def overlapped_time_s(self, device: DeviceSpec, streams: int = 8) -> float:
-        """Multi-stream execution time.
-
-        Model: with ``streams > 1``, work on different components (CUDA
-        cores, FP64 TCU, INT8 TCU, memory) proceeds concurrently across
-        streams, so the makespan approaches the busiest resource's total
-        demand; launch overhead is amortised across streams.  The result
-        is clamped to never beat ``serial / streams`` (finite parallelism)
-        and never exceed the serial time.
-        """
-        if streams <= 1:
-            return self.serial_time_s(device)
-        cuda = sum(
-            e.cuda_flops / device.cuda_fp64_flops for e in self.events if e.cuda_flops
-        )
-        tcu = 0.0
-        if device.tcu_fp64_flops:
-            tcu += sum(
-                e.tcu_fp64_flops / device.tcu_fp64_flops
-                for e in self.events
-                if e.tcu_fp64_flops
-            )
-        elif any(e.tcu_fp64_flops for e in self.events):
-            # Same infeasibility signal compute_time_s raises on the
-            # serial path (autotuners catch it to prune the config).
-            raise ValueError(f"{device.name} has no FP64 tensor cores")
-        if device.tcu_int8_ops:
-            tcu += sum(
-                e.tcu_int8_ops / device.tcu_int8_ops
-                for e in self.events
-                if e.tcu_int8_ops
-            )
-        elif any(e.tcu_int8_ops for e in self.events):
-            raise ValueError(f"{device.name} has no INT8 tensor cores")
-        if device.memory_model == "hier":
-            memory = sum(e.memory_time_s(device) for e in self.events)
-            launches = sum(e.effective_launches(device) for e in self.events)
-        else:
-            # Flat pricing inlined per event (bit-identical to
-            # KernelCost.memory_time_s) -- this sum is warm-path hot.
-            bandwidth = device.memory_bytes_per_s
-            memory = sum(
-                (e.bytes_read + e.bytes_written) / bandwidth
-                for e in self.events
-            )
-            launches = sum(e.launches for e in self.events)
-        overhead = launches * device.kernel_launch_us * 1e-6 / streams
-        bound = max(cuda, tcu, memory) + overhead
-        serial = self.serial_time_s(device)
-        return min(serial, max(bound, serial / streams))
+        """Multi-stream execution time (see :func:`price` for the model)."""
+        return price(self, device, streams).overlapped_s
 
     # -- serialisation ------------------------------------------------------------
 
@@ -157,14 +202,14 @@ class ExecutionTrace:
 
     def breakdown_s(self, device: DeviceSpec) -> Dict[str, float]:
         """Serial time aggregated by kernel name."""
-        table: Dict[str, float] = defaultdict(float)
-        for event in self.events:
-            table[event.name] += event.time_s(device)
-        return dict(table)
+        return {row.name: row.serial_s for row in price(self, device, 1).kernels}
 
     def total_bytes(self) -> float:
         """Total global-memory traffic of the trace."""
-        return sum(e.bytes_read + e.bytes_written for e in self.events)
+        total = 0.0
+        for event in self.events:
+            total += event.bytes_read + event.bytes_written
+        return total
 
     def bytes_by_kernel(self) -> Dict[str, float]:
         """Global-memory traffic aggregated by kernel name."""

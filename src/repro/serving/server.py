@@ -60,7 +60,8 @@ class NeoServiceModel:
 
     One root :class:`NeoContext` owns the trace cache; per-batch-size
     sibling contexts share it, so a (app, BatchSize) shape is built at most
-    once per server lifetime and every repeat is a cache hit.
+    once, and priced at most once per stream count, per server lifetime:
+    every repeat is one cache hit.
 
     With ``autotune=True`` the model prices under the hierarchical memory
     model and, per application, runs (or fetches from the shared
@@ -137,10 +138,13 @@ class NeoServiceModel:
         }
 
     def service_time_s(self, app: str, size: int, streams: int) -> float:
-        """Wall time of one `app` batch of `size` ciphertexts on `streams`."""
+        """Wall time of one `app` batch of `size` ciphertexts on `streams`.
+
+        Priced once per (app, size, streams) shape: the record is memoised
+        in the server's trace cache (:meth:`NeoContext.schedule_price`).
+        """
         ctx = self._root_for(app).with_batch(size)
-        trace = ctx.application_trace(self._app(app))
-        return trace.overlapped_time_s(ctx.device, streams)
+        return ctx.application_price(self._app(app), streams).overlapped_s
 
     def batch_trace(self, app: str, size: int):
         """Frozen execution trace of one `app` batch of `size` ciphertexts.
@@ -174,9 +178,10 @@ class NeoServiceModel:
 
         def build() -> tuple:
             ctx = root.with_batch(size)
-            trace = ctx.application_trace(self._app(app))
+            application = self._app(app)
+            trace = ctx.application_trace(application)
             result = StreamScheduler(ctx.device, streams).run(trace)
-            service = trace.overlapped_time_s(ctx.device, streams)
+            service = ctx.application_price(application, streams).overlapped_s
             scale = service / result.makespan_s if result.makespan_s > 0 else 1.0
             descriptors = tuple(
                 (k.name, k.resource, k.stream, k.start_s * scale, k.end_s * scale)

@@ -7,9 +7,9 @@ import pytest
 from repro.core import HEONGPU_CONFIG, NEO_CONFIG, TENSORFHE_CONFIG, NeoContext
 from repro.core.streams import ScheduledKernel, StreamScheduler
 from repro.core.trace_cache import TraceCache
-from repro.gpu.device import A100
-from repro.gpu.kernels import KernelCost
-from repro.gpu.trace import ExecutionTrace
+from repro.gpu.device import A100, L4
+from repro.gpu.kernels import DeviceCapabilityError, KernelCost
+from repro.gpu.trace import ExecutionTrace, price
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,15 @@ class TestScheduler:
             analytic = keyswitch_trace.overlapped_time_s(A100, streams)
             assert simulated <= serial * 1.001
             assert simulated >= 0.8 * analytic
+
+    def test_device_without_tensor_cores_raises_like_pricing(self):
+        """Regression: the scheduler divided by the L4's zero FP64 tensor
+        core rate (ZeroDivisionError) where pricing raises ValueError."""
+        trace = _mixed_trace()
+        with pytest.raises(DeviceCapabilityError, match="no FP64 tensor cores"):
+            price(trace, L4)
+        with pytest.raises(DeviceCapabilityError, match="no FP64 tensor cores"):
+            StreamScheduler(L4).run(trace)
 
     def test_invalid_stream_count(self):
         with pytest.raises(ValueError):

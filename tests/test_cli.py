@@ -127,6 +127,15 @@ class TestServeCommand:
         assert main(["serve", "--workload", "nosuchapp:5:1.0"]) == 2
         assert "unknown application" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("device", ["l4", "a100-no-tcu"])
+    def test_serve_device_without_tensor_cores(self, capsys, device):
+        """A listed device the default config cannot run on is one line
+        and exit 2, like every other bad argument -- not a traceback."""
+        assert main(self.SMOKE + ["--device", device]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "has no FP64 tensor cores" in err and "--autotune" in err
+
 
 class TestBenchCommand:
     def test_bench_unknown_kernel(self, capsys):
