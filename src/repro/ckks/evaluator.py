@@ -7,6 +7,7 @@ ablation (Fig. 14, first step) turns.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Optional, Tuple
 
@@ -104,9 +105,13 @@ class Evaluator:
         level = min(ct0.level, ct1.level)
         ct0 = self.mod_switch_to_level(ct0, level)
         ct1 = self.mod_switch_to_level(ct1, level)
-        if abs(ct0.scale - ct1.scale) > _SCALE_RTOL * max(ct0.scale, ct1.scale):
+        gap = abs(ct0.scale - ct1.scale)
+        top = max(ct0.scale, ct1.scale)
+        if gap > _SCALE_RTOL * top:
             raise ValueError(
-                f"scale mismatch: 2^{ct0.scale:.3e} vs 2^{ct1.scale:.3e}; rescale first"
+                f"scale mismatch: 2^{math.log2(ct0.scale):.2f} vs "
+                f"2^{math.log2(ct1.scale):.2f} (relative gap {gap / top:.2%} > "
+                f"{_SCALE_RTOL:.0%}); rescale first"
             )
         return ct0, ct1
 
@@ -295,10 +300,18 @@ class Evaluator:
 
         The whole correction runs as stack arithmetic: dropping one limb
         (the common Rescale) never leaves machine words, and the bignum CRT
-        compose only runs when several limbs are dropped at once.
+        compose only runs when several limbs are dropped at once.  The kept
+        basis is the parameters' cached :meth:`~CkksParameters.q_basis`, so
+        a rescale builds no basis.
         """
         poly = poly.from_ntt()
         keep = len(poly.basis) - count
+        keep_basis = self.params.q_basis(keep - 1)
+        if poly.basis.moduli[:keep] != keep_basis.moduli:
+            raise ValueError(
+                "rescale needs a polynomial over a prefix of the ciphertext "
+                f"chain; got {poly.basis!r}"
+            )
         from ..math.modstack import ModulusStack
         from ..math.rns import RnsBasis
 
@@ -308,7 +321,6 @@ class Evaluator:
         else:
             tail_basis = RnsBasis(poly.basis.moduli[keep:])
             tail_value = tail_basis.compose(poly.limbs[keep:])
-        keep_basis = poly.basis.subbasis(0, keep)
         mstack = ModulusStack.for_moduli(keep_basis.moduli)
         scaled = mstack.divide_exact_drop(poly.stack[:keep], tail_value, drop_product)
         return RnsPolynomial(poly.degree, keep_basis, scaled, is_ntt=False)

@@ -10,12 +10,15 @@ stack are single vectorised expressions -- no Python-level per-limb loop.
 
 When every modulus fits the native ``uint64`` backends the stack dtype is
 ``uint64``; a single limb at or above ``2**62`` demotes the whole stack to
-the exact object backend (the reference oracle path).
+the exact object backend (the reference oracle path).  A native stack
+picks its multiply kernel once, from its moduli: one ``uint64`` product
+``(a * b) % q`` when every modulus is below ``2**31`` (the ``fast``
+backend's rule), Barrett and Shoup on every limb otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +46,18 @@ class ModulusStack:
         if any(q <= 1 for q in self.moduli):
             raise ValueError("all moduli must be > 1")
         self.native = all(modarith.uses_native_backend(q) for q in self.moduli)
-        #: Residues below ``2**31`` admit the two-multiply ``mulhi_op32``.
-        self._op32 = self.native and all(q < 2**31 for q in self.moduli)
-        if self.native:
-            self._q = np.array(self.moduli, dtype=_U64)
+        #: The multiply kernel, picked once from the moduli.  When every
+        #: limb is on the fast backend (``q < 2**31``) the product of two
+        #: residues fits one ``uint64`` word, so every multiply is
+        #: ``(a * b) % q`` and the stack holds no Barrett or Shoup
+        #: constants.  One wider limb puts every limb on Barrett.
+        self._direct = self.native and all(
+            modarith.uses_fast_backend(q) for q in self.moduli
+        )
+        self._q = np.array(self.moduli, dtype=self.dtype)
+        #: dropped modulus -> its per-limb inverse as a :meth:`_multiplier`.
+        self._drop_inverses: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
+        if self.native and not self._direct:
             bits = [q.bit_length() for q in self.moduli]
             self._s_lo = np.array([k - 1 for k in bits], dtype=_U64)
             self._s_lo_c = np.array([64 - (k - 1) for k in bits], dtype=_U64)
@@ -56,16 +67,10 @@ class ModulusStack:
                 [(1 << (2 * k)) // q for k, q in zip(bits, self.moduli)],
                 dtype=_U64,
             )
-            # Lazy-reduction constants: R = 2**64 mod q_i (with its Shoup
-            # companion) folds the high word of a 128-bit accumulator.
-            r64 = [(1 << 64) % q for q in self.moduli]
-            self._r64 = np.array(r64, dtype=_U64)
-            self._r64_shoup = np.array(
-                [modarith.shoup_precompute(r, q) for r, q in zip(r64, self.moduli)],
-                dtype=_U64,
-            )
-        else:
-            self._q = np.array(self.moduli, dtype=object)
+        if self.native:
+            # Lazy-reduction constant: R = 2**64 mod q_i folds the high
+            # word of a 128-bit accumulator.
+            self._r64 = self._multiplier([1 << 64] * len(self.moduli))
 
     @classmethod
     def for_moduli(cls, moduli: Sequence[int]) -> "ModulusStack":
@@ -165,11 +170,17 @@ class ModulusStack:
         return (-a) % q
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise product of two reduced stacks (Barrett per limb)."""
+        """Element-wise product of two reduced stacks.
+
+        One ``uint64`` product per element, ``(a * b) % q``, when every
+        modulus is on the fast backend; Barrett per limb on any other
+        native stack; exact integers on an object stack.
+        """
         a, b = self._align(a, b)
-        if not self.native:
-            return (a * b) % self._col(self._q, a.ndim)
-        ndim = max(a.ndim, b.ndim)
+        ndim = a.ndim
+        q = self._col(self._q, ndim)
+        if self._direct or not self.native:
+            return (a * b) % q
         hi, lo = modarith.mul128(a, b)
         approx = (hi << self._col(self._s_lo_c, ndim)) | (
             lo >> self._col(self._s_lo, ndim)
@@ -178,7 +189,6 @@ class ModulusStack:
         quot = (q2_hi << self._col(self._s_hi_c, ndim)) | (
             q2_lo >> self._col(self._s_hi, ndim)
         )
-        q = self._col(self._q, ndim)
         r = lo - quot * q
         r = np.where(r >= q, r - q, r)
         return np.where(r >= q, r - q, r)
@@ -186,32 +196,50 @@ class ModulusStack:
     def shoup_mul(
         self, a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray
     ) -> np.ndarray:
-        """Shoup product against per-limb constant stacks (native only)."""
+        """Product against per-limb constant stacks (native only).
+
+        Shoup's trick on a Barrett stack; a fast-backend stack ignores
+        `w_shoup` and takes the direct ``(a * w) % q``.
+        """
         a, w = self._align(a, w)
+        if self._direct:
+            return (a * w) % self._col(self._q, a.ndim)
         a, w_shoup = self._align(a, w_shoup)
+        return modarith.shoup_mul_mod(a, w, w_shoup, self._col(self._q, a.ndim))
+
+    def _multiplier(
+        self, scalars: Sequence[int]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Per-limb constant ``(w, w_shoup)`` for Python-int `scalars`.
+
+        ``w_shoup`` (Shoup's ``floor(w * 2**64 / q)``) exists only on a
+        Barrett stack; every other stack multiplies directly.
+        """
+        w = [int(s) % q for s, q in zip(scalars, self.moduli)]
+        w_shoup = None
+        if self.native and not self._direct:
+            w_shoup = np.array(
+                [modarith.shoup_precompute(s, q) for s, q in zip(w, self.moduli)],
+                dtype=_U64,
+            )
+        return np.array(w, dtype=self.dtype), w_shoup
+
+    def _scale_limbs(
+        self, a: np.ndarray, w: np.ndarray, w_shoup: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Multiply limb ``i`` of `a` by a :meth:`_multiplier` constant."""
+        q = self._col(self._q, a.ndim)
+        if w_shoup is None:
+            return (a * self._col(w, a.ndim)) % q
         return modarith.shoup_mul_mod(
-            a, w, w_shoup, self._col(self._q, a.ndim), operand32=self._op32
+            a, self._col(w, a.ndim), self._col(w_shoup, a.ndim), q
         )
 
     def scalar_mul(self, a: np.ndarray, scalars: Sequence[int]) -> np.ndarray:
         """Multiply limb ``i`` by Python-int ``scalars[i]``."""
         if len(scalars) != len(self.moduli):
             raise ValueError("need one scalar per limb")
-        reduced = [int(s) % q for s, q in zip(scalars, self.moduli)]
-        if not self.native:
-            w = self._col(np.array(reduced, dtype=object), a.ndim)
-            return (a * w) % self._col(self._q, a.ndim)
-        w = self._col(np.array(reduced, dtype=_U64), a.ndim)
-        w_shoup = self._col(
-            np.array(
-                [modarith.shoup_precompute(s, q) for s, q in zip(reduced, self.moduli)],
-                dtype=_U64,
-            ),
-            a.ndim,
-        )
-        return modarith.shoup_mul_mod(
-            a, w, w_shoup, self._col(self._q, a.ndim), operand32=self._op32
-        )
+        return self._scale_limbs(a, *self._multiplier(scalars))
 
     def broadcast_scalar_mul(self, a: np.ndarray, scalar: int) -> np.ndarray:
         """Multiply every limb by the same Python integer (reduced per limb)."""
@@ -251,15 +279,12 @@ class ModulusStack:
         """Reduce ``hi * 2**64 + lo`` limb-wise into ``[0, q_i)``.
 
         The single reduction that lazy accumulation defers to: fold the high
-        word through ``R = 2**64 mod q`` (Shoup), add the reduced low word,
-        one conditional subtraction.
+        word through ``R = 2**64 mod q`` (Shoup's trick on a Barrett stack),
+        add the reduced low word, one conditional subtraction.
         """
         ndim = max(hi.ndim, lo.ndim)
         q = self._col(self._q, ndim)
-        term = modarith.shoup_mul_mod(
-            hi % q, self._col(self._r64, ndim), self._col(self._r64_shoup, ndim), q
-        )
-        s = term + lo % q
+        s = self._scale_limbs(hi % q, *self._r64) + lo % q
         return np.where(s >= q, s - q, s)
 
     def lazy_mul_sum(
@@ -350,10 +375,14 @@ class ModulusStack:
         """
         correction = self.reduce(np.asarray(tail)[None, ...])
         diff = self.sub(keep, correction)
-        inverses = [
-            modarith.inv_mod(int(drop_modulus) % q, q) for q in self.moduli
-        ]
-        return self.scalar_mul(diff, inverses)
+        drop = int(drop_modulus)
+        inverse = self._drop_inverses.get(drop)
+        if inverse is None:
+            inverse = self._multiplier(
+                [modarith.inv_mod(drop % q, q) for q in self.moduli]
+            )
+            self._drop_inverses[drop] = inverse
+        return self._scale_limbs(diff, *inverse)
 
     def bconv_matmul(
         self, scaled: np.ndarray, weights: np.ndarray, operand_bound: int = 0

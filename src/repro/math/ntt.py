@@ -497,16 +497,6 @@ class NttStack:
         return t
 
     @staticmethod
-    def _shoup_table_fast(values: np.ndarray, q: int) -> np.ndarray:
-        """Vectorised ``floor(v * 2**64 / q)`` for ``q < 2**32``."""
-        v = values.astype(_U64)
-        q64 = _U64(q)
-        t1 = v << _U64(32)
-        d1 = t1 // q64
-        t2 = (t1 - d1 * q64) << _U64(32)
-        return (d1 << _U64(32)) + t2 // q64
-
-    @staticmethod
     def _split16(w: np.ndarray):
         """16-bit operand split as float64 triplet ``(hi, lo, hi+lo)``."""
         hi = (w >> _U64(16)).astype(np.float64)
@@ -517,7 +507,8 @@ class NttStack:
         """Constant matrices of the four-step split, twist/bit-rev folded in.
 
         Forward maps ``x.reshape(a, b)`` through a left ``(a, a)`` matmul,
-        an elementwise Shoup twiddle, and a right ``(b, b)`` matmul so the
+        an element-wise twiddle product ``x * tw % q`` (below ``2**62`` for
+        these sub-``2**31`` moduli), and a right ``(b, b)`` matmul so the
         flat result *is* the butterfly output: the negacyclic ``psi`` twist
         rides in the matrix entries and the bit-reversal permutes the
         constant rows/columns instead of the data.  The inverse mirrors it
@@ -565,7 +556,7 @@ class NttStack:
                 # WB[j2, c] = w^{a j2 rev_b(c)};  cols c = rev(k2)
                 mat_r = pw[(a * np.outer(j2, rev_b[j2])) % n]
             left.append(mat_l)
-            tw.append((tw_q, self._shoup_table_fast(tw_q, q)))
+            tw.append(tw_q)
             right.append(mat_r)
         L = len(self.moduli)
         # With n-term contractions of unsplit data against the 2**16-weight
@@ -585,8 +576,7 @@ class NttStack:
             ),
             "left_two": a * (q_max - 1) * ((1 << 16) - 1) < 1 << 53,
             "right_two": b * (q_max - 1) * ((1 << 16) - 1) < 1 << 53,
-            "tw": np.stack([t[0] for t in tw])[:, None],
-            "tw_shoup": np.stack([t[1] for t in tw])[:, None],
+            "tw": np.stack(tw)[:, None],
             "q": self._q.reshape(L, 1, 1, 1),
             "c32": np.array(
                 [(1 << 32) % q for q in self.moduli], dtype=_U64
@@ -644,15 +634,11 @@ class NttStack:
         x = stack.reshape(L, batch, a, b)
         if inverse:
             x = self._gemm_mod(x, t["right"], t, left=False, two=t["right_two"])
-            x = modarith.shoup_mul_mod(
-                x, t["tw"], t["tw_shoup"], t["q"], operand32=True
-            )
+            x = x * t["tw"] % t["q"]
             x = self._gemm_mod(x, t["left"], t, left=True, two=t["left_two"])
         else:
             x = self._gemm_mod(x, t["left"], t, left=True, two=t["left_two"])
-            x = modarith.shoup_mul_mod(
-                x, t["tw"], t["tw_shoup"], t["q"], operand32=True
-            )
+            x = x * t["tw"] % t["q"]
             x = self._gemm_mod(x, t["right"], t, left=False, two=t["right_two"])
         return x.reshape(stack.shape)
 

@@ -66,6 +66,23 @@ class TestAdditive:
         with pytest.raises(ValueError):
             evaluator.add(ct0, ct1)
 
+    def test_scale_mismatch_message_prints_log2_scales(
+        self, params, encoder, encryptor, evaluator
+    ):
+        """Scales ~8% apart: the message gives log2 of each scale and the
+        relative gap against the tolerance, not the scale as an exponent."""
+        ct0 = encryptor.encrypt(encoder.encode([1.0], scale=params.scale))
+        ct1 = encryptor.encrypt(encoder.encode([1.0], scale=params.scale * 1.08))
+        with pytest.raises(ValueError) as info:
+            evaluator.add(ct0, ct1)
+        message = str(info.value)
+        assert message == (
+            f"scale mismatch: 2^{params.scale_bits:.2f} vs "
+            f"2^{params.scale_bits + 0.11:.2f} (relative gap 7.41% > 5%); "
+            "rescale first"
+        )
+        assert "e+" not in message
+
 
 class TestMultiplicative:
     def test_pmult(self, encoder, encryptor, decryptor, evaluator, rng):
@@ -198,6 +215,24 @@ class TestRescale:
     def test_rescale_at_level_zero_rejected(self, encoder, encryptor, evaluator):
         ct = encryptor.encrypt(encoder.encode([1.0], level=0))
         with pytest.raises(ValueError):
+            evaluator.rescale(ct)
+
+    def test_rescale_rejects_basis_off_the_chain(self, params, evaluator):
+        """Rescale keeps the chain's cached prefix basis, so a polynomial
+        over any other moduli is refused."""
+        from repro.ckks.ciphertext import Ciphertext
+        from repro.math.polynomial import RnsPolynomial
+        from repro.math.rns import RnsBasis
+
+        basis = RnsBasis(params.moduli[1:4])
+        zero = RnsPolynomial(
+            params.degree,
+            basis,
+            np.zeros((len(basis), params.degree), dtype=np.uint64),
+            is_ntt=False,
+        )
+        ct = Ciphertext(zero, zero, params.scale, params)
+        with pytest.raises(ValueError, match="prefix of the ciphertext chain"):
             evaluator.rescale(ct)
 
     def test_mod_switch_preserves_value(self, encoder, encryptor, decryptor, evaluator, rng):

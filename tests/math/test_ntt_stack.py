@@ -16,6 +16,9 @@ Q25 = tuple(ntt_primes(25, 8192, 3))
 Q27 = tuple(ntt_primes(27, 4096, 3))
 Q30 = tuple(ntt_primes(30, 4096, 3))
 Q36 = tuple(ntt_primes(36, 4096, 2))
+#: The largest 31-bit NTT primes: wide enough that the four-step split's
+#: two-GEMM bound ``side (q-1) (2**16-1) < 2**53`` fails at 128-wide sides.
+Q31 = tuple(ntt_primes(31, 16384, 2))
 MIXED = Q25[:2] + Q36[:1]
 MODULI = {"q25": Q25, "q27": Q27, "q30": Q30, "q36": Q36, "mixed": MIXED}
 DEGREES = [2, 8, 32, 64, 256, 4096]
@@ -119,6 +122,23 @@ def test_one_step_bound_routes_wide_moduli_to_four_step(monkeypatch):
     assert (narrow.engine, wide.engine) == ("one-step", "four-step")
     for stack in (narrow, wide):
         _check_against_oracle(stack, _random_stack(stack.moduli, (3, 256), seed=9))
+
+
+@pytest.mark.parametrize(
+    "degree, left_two, right_two", [(8192, True, False), (16384, False, False)]
+)
+def test_four_step_three_gemm_branch(degree, left_two, right_two):
+    """31-bit moduli at N >= 8192 split the data too (three GEMMs,
+    Karatsuba) on every side whose two-GEMM float64 sums would be inexact."""
+    stack = ntt.NttStack(degree, Q31)
+    assert stack.engine == "four-step"
+    for inverse in (False, True):
+        tables = stack._gemm_tables(inverse)
+        assert (tables["left_two"], tables["right_two"]) == (left_two, right_two)
+    x = _random_stack(Q31, (degree,), seed=degree)
+    _check_against_oracle(stack, x)
+    all_max = np.stack([np.full(degree, q - 1, dtype=np.uint64) for q in Q31])
+    _check_against_oracle(stack, all_max)
 
 
 def test_butterflies_when_neither_gemm_bound_holds(monkeypatch):
