@@ -60,34 +60,33 @@ def plan_fp64_split(wordsize_a: int, wordsize_b: int, k_dim: int) -> SplitPlan:
 
     Reproduces the paper's Section 3.4 arithmetic: 36-bit at K=16 -> 1x3
     planes (3 products); 48-bit at K=16 -> 2x2 planes (4 products).
+
+    Ties go to the smaller ``(a_planes, b_planes)``.  The search stops once
+    ``a_planes`` reaches the best product count: every later candidate has
+    at least that many products, and a tie keeps the earlier plan.
     """
     if min(wordsize_a, wordsize_b, k_dim) < 1:
         raise ValueError("wordsizes and k_dim must be positive")
-    best: Optional[SplitPlan] = None
+    limit = 1 << FP64_PRECISION_BITS
+    best: Optional[Tuple[int, int, int, int]] = None
+    best_products = wordsize_a * wordsize_b + 1  # above every candidate's
     for a_planes in range(1, wordsize_a + 1):
+        if a_planes >= best_products:
+            break
         a_bits = -(-wordsize_a // a_planes)
+        a_bound = ((1 << a_bits) - 1) * k_dim
         for b_planes in range(1, wordsize_b + 1):
             b_bits = -(-wordsize_b // b_planes)
-            bound = ((1 << a_bits) - 1) * ((1 << b_bits) - 1) * k_dim
-            if bound >= 1 << FP64_PRECISION_BITS:
-                continue
-            candidate = SplitPlan(a_planes, b_planes, a_bits, b_bits)
-            if (
-                best is None
-                or candidate.products < best.products
-                or (
-                    candidate.products == best.products
-                    and (candidate.a_planes, candidate.b_planes)
-                    < (best.a_planes, best.b_planes)
-                )
-            ):
-                best = candidate
-            break  # more b_planes only increases the product count
+            if a_bound * ((1 << b_bits) - 1) < limit:
+                if a_planes * b_planes < best_products:
+                    best_products = a_planes * b_planes
+                    best = (a_planes, b_planes, a_bits, b_bits)
+                break  # more b_planes only increases the product count
     if best is None:
         raise PrecisionOverflowError(
             f"no FP64 split exists for {wordsize_a}x{wordsize_b}-bit GEMM at K={k_dim}"
         )
-    return best
+    return SplitPlan(*best)
 
 
 def plan_int8_split(wordsize_a: int, wordsize_b: int) -> SplitPlan:

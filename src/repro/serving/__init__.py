@@ -8,11 +8,11 @@ overload layer (:mod:`repro.serving.overload`) bounds the admission queue
 and sheds load by service tier; :mod:`repro.serving.replay` captures and
 byte-identically replays traffic timelines; and
 :mod:`repro.serving.async_frontend` puts a wall-clock asyncio ingest with
-backpressure in front of the same scheduler.  See
-``python -m repro serve --workload mixed`` for the CLI front end.
+backpressure in front of the same scheduler; it loads (with asyncio) on
+first use of one of its names.  See ``python -m repro serve --workload
+mixed`` for the CLI front end.
 """
 
-from .async_frontend import AsyncFrontEnd, FrontEndClosed, run_wall_clock, serve_replay
 from .batcher import Batch, ContinuousBatcher
 from .faults import (
     BurstFault,
@@ -148,3 +148,16 @@ __all__ = [
     "tier_name",
     "tier_priority",
 ]
+
+#: Names served by :mod:`.async_frontend`, imported on first access.
+_ASYNC_FRONTEND = frozenset(
+    ("AsyncFrontEnd", "FrontEndClosed", "run_wall_clock", "serve_replay")
+)
+
+
+def __getattr__(name: str):
+    if name in _ASYNC_FRONTEND:
+        from . import async_frontend
+
+        return getattr(async_frontend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.memory_footprint import (
     ciphertext_bytes,
@@ -711,11 +711,16 @@ class Fleet:
         ]
         self.streams_per_lane = self.servers[0].streams_per_lane
         self._submitted: List[Request] = []
+        self._rids: Set[int] = set()
         self._last_report: Optional[FleetReport] = None
 
     # -- admission ----------------------------------------------------------------
 
     def submit(self, request: Request) -> Request:
+        """Accept one request; ``ValueError`` if its id was already submitted."""
+        if request.rid in self._rids:
+            raise ValueError(f"request id {request.rid} was already submitted")
+        self._rids.add(request.rid)
         self._submitted.append(request)
         return request
 
@@ -806,7 +811,11 @@ class Fleet:
     # -- simulation ---------------------------------------------------------------
 
     def drain(self) -> FleetReport:
-        """Route and replay every submitted request; return the fleet report."""
+        """Route and replay every submitted request; return the fleet report.
+
+        Each drain re-routes the whole submitted trace onto emptied group
+        servers, so draining twice gives the same report.
+        """
         apps = sorted({r.app for r in self._submitted}) or ["packbootstrap"]
         placement = plan_key_placement(
             apps, self.groups, self.params, self.placement_policy
@@ -814,6 +823,7 @@ class Fleet:
         assignment = self.route(self._submitted, placement)
         reports: List[ServingReport] = []
         for group, server in enumerate(self.servers):
+            server.clear_submissions()
             server.submit_many(assignment[group])
             reports.append(server.drain())
 

@@ -44,6 +44,65 @@ class TestSplitPlans:
             tensorcore.plan_int8_split(36, 0)
 
 
+def _oracle_fp64_split(wordsize_a, wordsize_b, k_dim):
+    """Brute force: every plane-count pair whose bound fits below 2**53.
+
+    Fewest products wins, then the smaller ``(a_planes, b_planes)``;
+    ``None`` when no pair fits.
+    """
+    a_max = [(1 << -(-wordsize_a // a)) - 1 for a in range(1, wordsize_a + 1)]
+    b_max = [(1 << -(-wordsize_b // b)) - 1 for b in range(1, wordsize_b + 1)]
+    fits = [
+        (a * b, a, b)
+        for a, a_top in enumerate(a_max, 1)
+        for b, b_top in enumerate(b_max, 1)
+        if a_top * b_top * k_dim < 1 << 53
+    ]
+    if not fits:
+        return None
+    _, a, b = min(fits)
+    return (a, b, -(-wordsize_a // a), -(-wordsize_b // b))
+
+
+def _planned(wordsize_a, wordsize_b, k_dim):
+    try:
+        plan = tensorcore.plan_fp64_split(wordsize_a, wordsize_b, k_dim)
+    except tensorcore.PrecisionOverflowError:
+        return None
+    return (plan.a_planes, plan.b_planes, plan.a_bits, plan.b_bits)
+
+
+ORACLE_K = (1, 2, 3, 16, 17, 64, 128, 4096, 2**20, 2**40, 2**52, 2**53)
+
+
+class TestSplitPlanOracle:
+    """``plan_fp64_split`` (with its early stop) against the brute force."""
+
+    @pytest.mark.parametrize("k_dim", ORACLE_K)
+    def test_equal_wordsizes_match_brute_force(self, k_dim):
+        for wordsize in range(1, 65):
+            assert _planned(wordsize, wordsize, k_dim) == _oracle_fp64_split(
+                wordsize, wordsize, k_dim
+            ), (wordsize, k_dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 64),
+        st.one_of(st.sampled_from(ORACLE_K), st.integers(1, 2**54)),
+    )
+    def test_unequal_wordsizes_match_brute_force(self, wordsize_a, wordsize_b, k_dim):
+        assert _planned(wordsize_a, wordsize_b, k_dim) == _oracle_fp64_split(
+            wordsize_a, wordsize_b, k_dim
+        )
+
+    def test_overflow_exactly_when_no_plan_fits(self):
+        assert _oracle_fp64_split(1, 1, 2**53) is None
+        with pytest.raises(tensorcore.PrecisionOverflowError):
+            tensorcore.plan_fp64_split(1, 1, 2**53)
+        assert _planned(1, 1, 2**53 - 1) == (1, 1, 1, 1)
+
+
 def _random_gemm_operands(q, m=16, n=8, k=16, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, int(q), size=(m, k), dtype=np.uint64).astype(object) % q

@@ -128,6 +128,22 @@ class TestDeterministicReplay:
             prints.append(fleet.drain().fingerprint())
         assert prints[0] == prints[1]
 
+    @pytest.mark.parametrize("gpus", [1, 2])
+    def test_second_drain_repeats_the_first(self, gpus):
+        fleet = Fleet(gpus=gpus, max_wait_s=5.0)
+        submitted = fleet.submit_many(smoke_requests())
+        first, second = fleet.drain(), fleet.drain()
+        assert first.fingerprint() == second.fingerprint()
+        for report in (first, second):
+            assert report.served == report.offered == submitted
+
+    def test_rejects_a_duplicate_rid(self):
+        fleet = Fleet(gpus=2, max_wait_s=5.0)
+        fleet.submit(Request(rid=5, app="helr"))
+        with pytest.raises(ValueError, match="request id 5 was already submitted"):
+            fleet.submit(Request(rid=5, app="packbootstrap"))
+        assert fleet.drain().offered == 1
+
     def test_fingerprint_distinguishes_fleet_sizes(self):
         prints = set()
         for gpus in (1, 2, 4):

@@ -41,6 +41,19 @@ class TestAdmission:
         with pytest.raises(ValueError, match="needs a Request or an app"):
             _server().submit()
 
+    def test_rejects_a_duplicate_rid(self):
+        server = _server()
+        server.submit(Request(rid=5, app="helr"))
+        with pytest.raises(ValueError, match="request id 5 was already submitted"):
+            server.submit(Request(rid=5, app="packbootstrap"))
+        with pytest.raises(ValueError, match="request id 5"):
+            server.submit_many([Request(rid=6, app="helr"),
+                                Request(rid=5, app="helr")])
+        report = server.drain()
+        assert report.offered == report.served == 2
+        # A fields-built request takes the next free rid, never a duplicate.
+        assert server.submit(app="helr").rid == 7
+
     def test_rejects_zero_lanes(self):
         with pytest.raises(ValueError, match="at least one lane"):
             _server(lanes=0)
