@@ -355,9 +355,12 @@ def cmd_serve(args) -> int:
     clear_caches()
     tracer = None
     if args.metrics or args.trace_jsonl:
-        from .telemetry import Tracer, enable_telemetry
+        from .telemetry import enable_telemetry
 
         enable_telemetry().reset()
+    if args.trace_jsonl:
+        from .telemetry import Tracer
+
         tracer = Tracer()
     try:
         overload = None

@@ -210,6 +210,21 @@ class TestServeTelemetryOutputs:
         assert "serving_requests_total" in data
         assert trace_path.read_text().strip()
 
+    def test_serve_metrics_alone_records_no_spans(self, capsys, tmp_path,
+                                                  monkeypatch):
+        import json
+
+        from repro.serving import Server
+
+        traced = []
+        monkeypatch.setattr(Server, "_record_spans",
+                            lambda self, tracer, report: traced.append(tracer))
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["serve", "--workload", "smoke",
+                     "--metrics", str(metrics_path)]) == 0
+        assert "serving_requests_total" in json.loads(metrics_path.read_text())
+        assert traced == []
+
 
 class TestBenchRecord:
     SMOKE = ["bench", "serving", "--workload", "smoke"]
