@@ -37,6 +37,8 @@ from .baselines import BASELINE_MODELS, CpuModel, HeonGpuModel, TensorFheModel
 from .ckks.params import TABLE4, KlssConfig, get_set
 from .core import ABLATION_STEPS, NEO_CONFIG, NeoContext
 from .core.profiling import chrome_trace_json, profile_application
+from .serving.policies import POLICIES
+from .serving.workload import WORKLOAD_PRESETS
 from .telemetry.stats import clear_caches
 
 #: profile-command system registry: the baselines plus Neo itself.
@@ -328,7 +330,6 @@ def cmd_serve(args) -> int:
         synthesize_arrivals,
     )
     from .gpu import DeviceCapabilityError, get_device
-    from .serving.policies import POLICIES
 
     try:
         device = get_device(args.device)
@@ -831,13 +832,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workload",
         default="mixed",
-        help="preset (mixed, bootstrap, resnet, smoke, overload10x) or "
+        help=f"preset ({', '.join(WORKLOAD_PRESETS)}) or "
         "app:count:rate[:size[:slo[:tier]]] entries, comma-separated",
     )
     serve.add_argument(
         "--policy",
         default="bucketed",
-        help="admission policy: fifo, edf or bucketed (default: bucketed)",
+        help=f"admission policy: {', '.join(POLICIES)} (default: bucketed)",
     )
     serve.add_argument("--set", default="C", help="parameter set A-H (default: C)")
     serve.add_argument(

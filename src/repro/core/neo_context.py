@@ -174,7 +174,10 @@ class NeoContext:
         return ExecutionTrace(events)
 
     def schedule_price(
-        self, schedule: Mapping[str, Mapping[str, int]], streams: Optional[int] = None
+        self,
+        schedule: Mapping[str, Mapping[str, int]],
+        streams: Optional[int] = None,
+        shared: Optional[TraceCache] = None,
     ) -> TracePrice:
         """The :class:`~repro.gpu.trace.TracePrice` of a schedule, priced once.
 
@@ -184,6 +187,11 @@ class NeoContext:
         the schedule's insertion order and drops counts <= 0, exactly as
         :meth:`schedule_trace` assembles events -- event order decides the
         float sums.  ``streams`` defaults to the config's.
+
+        On a miss, a `shared` cache is asked for the record under the same
+        key before anything is built; the schedule's traces are built into
+        this context's cache only when that lookup misses too, and only
+        the record is stored in `shared`.
         """
         streams = self.config.streams if streams is None else streams
         cells = tuple(
@@ -191,9 +199,15 @@ class NeoContext:
             for level, ops in schedule.items()
         )
         key = (self.params, self.config, self.batch, "price", self.device, streams, cells)
-        return self.pipeline.cache.get_or_build(
-            key, lambda: price(self.schedule_trace(schedule), self.device, streams)
-        )
+
+        def build() -> TracePrice:
+            return price(self.schedule_trace(schedule), self.device, streams)
+
+        if shared is not None:
+            return self.pipeline.cache.get_or_build(
+                key, lambda: shared.get_or_build(key, build)
+            )
+        return self.pipeline.cache.get_or_build(key, build)
 
     def schedule_time_s(self, schedule: Mapping[str, Mapping[str, int]]) -> float:
         """Run an application schedule: ``{level: {operation: count}}``.

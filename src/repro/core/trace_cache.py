@@ -18,8 +18,12 @@ Beside the traces the same cache holds what timing them produced:
 :meth:`~repro.core.neo_context.NeoContext.schedule_price` stores one
 :class:`~repro.gpu.trace.TracePrice` per (params, config, batch,
 ``"price"``, device, streams, schedule), so a schedule shape is priced once
-per cache.  Price entries live and die with the cache that holds the
-traces they were priced from (``maxsize=0`` re-prices on every call).
+per cache (``maxsize=0`` re-prices on every call).  A serving model built
+without a cache keeps its traces in a private one and asks
+:data:`GLOBAL_TRACE_CACHE` for every price that private cache misses,
+under the same key: across the servers of one process a shape is priced
+once, while only the small price records -- never the traces -- outlive a
+server.
 
 Cached traces are returned ``frozen()`` (tuple-backed event lists), so a
 cache hit can be handed to many callers without aliasing hazards.

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .policies import AdmissionPolicy
+from .queue import RequestQueue
 from .request import Request
 
 
@@ -55,7 +56,10 @@ class ContinuousBatcher:
         self.max_wait_s = max_wait_s
 
     def candidate(
-        self, pending: Sequence[Request], now: float, draining: bool
+        self,
+        pending: Union[RequestQueue, Sequence[Request]],
+        now: float,
+        draining: bool,
     ) -> Tuple[Optional[List[Request]], float]:
         """The batch to dispatch at `now`, or when to look again.
 
@@ -65,21 +69,27 @@ class ContinuousBatcher:
         should re-evaluate at ``window_deadline`` or the next arrival,
         whichever comes first.  A single request larger than ``max_batch``
         dispatches alone at its own size.
+
+        A :class:`~repro.serving.queue.RequestQueue` kept in this batcher's
+        policy is read through its index; any other collection of requests
+        is indexed first, in its own order.
         """
-        if not pending:
-            return None, math.inf
-        ordered = sorted(pending, key=self.policy.order_key)
-        bucket = self.policy.bucket(ordered[0])
-        group = [r for r in ordered if self.policy.bucket(r) == bucket]
+        if not isinstance(pending, RequestQueue) or pending.policy is not self.policy:
+            queue = RequestQueue(policy=self.policy)
+            for request in pending:
+                queue.push(request, now)
+            pending = queue
         take: List[Request] = []
         total = 0
         overflow = False
-        for request in group:
+        for request in pending.head_bucket():
             if take and total + request.size > self.max_batch:
                 overflow = True
                 break
             take.append(request)
             total += request.size
+        if not take:
+            return None, math.inf
         full = overflow or total >= self.max_batch
         window_deadline = min(r.arrival_s for r in take) + self.max_wait_s
         if full or draining or now >= window_deadline:

@@ -681,11 +681,7 @@ class Fleet:
         self.tracer = tracer
 
         base = NeoServiceModel(
-            self.params,
-            config,
-            trace_cache if trace_cache is not None else TraceCache(),
-            device=device,
-            autotune=autotune,
+            self.params, config, trace_cache, device=device, autotune=autotune
         )
         if tensor_parallel > 1:
             self._multi = MultiGpuModel(

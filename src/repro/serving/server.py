@@ -18,7 +18,7 @@ replays can assert bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..analysis.reporting import format_table
 from ..apps import get_application
@@ -26,7 +26,7 @@ from ..core.neo_context import NeoContext
 from ..core.pipeline import NEO_CONFIG, PipelineConfig
 from ..core.profiling import latency_percentiles, timeline_schedule_result
 from ..core.streams import ScheduledKernel, StreamScheduler
-from ..core.trace_cache import CacheStats, TraceCache
+from ..core.trace_cache import GLOBAL_TRACE_CACHE, CacheStats, TraceCache
 from ..gpu.device import A100, DeviceSpec
 from ..telemetry.registry import MetricsRegistry, global_registry
 from ..telemetry.stats import Cache, all_cache_stats
@@ -63,6 +63,14 @@ class NeoServiceModel:
     once, and priced at most once per stream count, per server lifetime:
     every repeat is one cache hit.
 
+    A model built without a ``trace_cache`` owns a private one and takes
+    the prices it misses there from the process-wide
+    :data:`~repro.core.trace_cache.GLOBAL_TRACE_CACHE`, so a warm process
+    prices each shape once across servers; it builds traces (into its own
+    cache) only for shapes no server has priced yet.  Only the small
+    price records are shared, never the traces.  A model handed a
+    ``trace_cache`` keeps to it and never reads the shared one.
+
     With ``autotune=True`` the model prices under the hierarchical memory
     model and, per application, runs (or fetches from the shared
     :class:`~repro.core.autotuner.TuningStore`) a quick-budget
@@ -82,6 +90,7 @@ class NeoServiceModel:
     ):
         if autotune:
             device = device.hier()
+        self._shared_prices = GLOBAL_TRACE_CACHE if trace_cache is None else None
         # ``is not None``, not ``or``: TraceCache defines __len__, so an
         # empty (still-cold) cache is falsy and ``or`` would discard it.
         self._root = NeoContext(
@@ -99,6 +108,7 @@ class NeoServiceModel:
         self._tuned_roots: Dict[str, NeoContext] = {}
         self._tuned_choices: Dict[str, object] = {}
         self._apps: Dict[str, object] = {}
+        self._shapes: Dict[Tuple[str, int], Tuple[NeoContext, object]] = {}
 
     def _app(self, app: str):
         if app not in self._apps:
@@ -131,6 +141,14 @@ class NeoServiceModel:
             )
         return self._tuned_roots[app]
 
+    def _shape(self, app: str, size: int) -> Tuple[NeoContext, object]:
+        """The batch context and app schedule of one shape, made once per model."""
+        shape = self._shapes.get((app, size))
+        if shape is None:
+            ctx = self._root_for(app).with_batch(size)
+            shape = self._shapes[app, size] = (ctx, self._app(app).schedule(ctx.params))
+        return shape
+
     def tuned_summary(self) -> Dict[str, str]:
         """``{app: tuned-config label}`` for every app tuned so far."""
         return {
@@ -141,10 +159,11 @@ class NeoServiceModel:
         """Wall time of one `app` batch of `size` ciphertexts on `streams`.
 
         Priced once per (app, size, streams) shape: the record is memoised
-        in the server's trace cache (:meth:`NeoContext.schedule_price`).
+        in the server's trace cache (:meth:`NeoContext.schedule_price`), or
+        taken from the shared cache when another model priced it first.
         """
-        ctx = self._root_for(app).with_batch(size)
-        return ctx.application_price(self._app(app), streams).overlapped_s
+        ctx, schedule = self._shape(app, size)
+        return ctx.schedule_price(schedule, streams, self._shared_prices).overlapped_s
 
     def batch_trace(self, app: str, size: int):
         """Frozen execution trace of one `app` batch of `size` ciphertexts.
@@ -153,8 +172,8 @@ class NeoServiceModel:
         comes out of the shared cache, so multi-device timing never
         rebuilds a shape the single-device path already priced.
         """
-        ctx = self._root_for(app).with_batch(size)
-        return ctx.application_trace(self._app(app)).frozen()
+        ctx, schedule = self._shape(app, size)
+        return ctx.schedule_trace(schedule).frozen()
 
     def batch_device(self, size: int):
         """The batch-derated device a batch of `size` executes on."""
@@ -177,11 +196,12 @@ class NeoServiceModel:
         root = self._root_for(app)
 
         def build() -> tuple:
-            ctx = root.with_batch(size)
-            application = self._app(app)
-            trace = ctx.application_trace(application)
+            ctx, schedule = self._shape(app, size)
+            trace = ctx.schedule_trace(schedule)
             result = StreamScheduler(ctx.device, streams).run(trace)
-            service = ctx.application_price(application, streams).overlapped_s
+            service = ctx.schedule_price(
+                schedule, streams, self._shared_prices
+            ).overlapped_s
             scale = service / result.makespan_s if result.makespan_s > 0 else 1.0
             descriptors = tuple(
                 (k.name, k.resource, k.stream, k.start_s * scale, k.end_s * scale)
@@ -566,6 +586,8 @@ class Server:
         self._rids: Set[int] = set()
         self._cancels: Dict[int, float] = {}
         self._next_rid = 0
+        #: Submissions the last drain settled (its report's ``offered``).
+        self._settled = 0
         self._last_report: Optional[ServingReport] = None
         #: JSONable constructor arguments for snapshot/replay capture
         #: (:mod:`repro.serving.replay`); the pipeline config is assumed
@@ -629,6 +651,7 @@ class Server:
         self._submitted.clear()
         self._rids.clear()
         self._next_rid = 0
+        self._settled = 0
 
     def cancel(self, rid: int, at_s: float) -> None:
         """Schedule a cancellation of request `rid` at simulated `at_s`.
@@ -644,11 +667,17 @@ class Server:
         self._cancels[rid] = at_s if current is None else min(current, at_s)
 
     def stats(self) -> ServerStats:
+        """Submission counters and the last drain's outcome.
+
+        ``pending`` counts submissions no drain has settled yet: a drain
+        settles every request it is offered, as served, shed, rejected or
+        cancelled, and :meth:`clear_submissions` forgets the rest.
+        """
         report = self._last_report
         return ServerStats(
             submitted=len(self._submitted),
             served=report.served if report else 0,
-            pending=len(self._submitted) - (report.served if report else 0),
+            pending=len(self._submitted) - self._settled,
             batches=len(report.batches) if report else 0,
         )
 
@@ -674,7 +703,7 @@ class Server:
         controller = (
             AdmissionController(self.overload) if self.overload else None
         )
-        queue = RequestQueue(capacity=capacity)
+        queue = RequestQueue(capacity=capacity, policy=self.policy)
         lane_free = [0.0] * self.lanes
         records: List[RequestRecord] = []
         batches: List[Batch] = []
@@ -755,9 +784,7 @@ class Server:
                 continue
 
             draining = index >= total
-            take, window_deadline = self.batcher.candidate(
-                queue.requests, now, draining
-            )
+            take, window_deadline = self.batcher.candidate(queue, now, draining)
             if take is None:
                 # The head batch is still filling: sleep until its window
                 # expires, the next arrival tops it up, or a cancellation
@@ -849,6 +876,7 @@ class Server:
             ),
         )
         self._last_report = report
+        self._settled = total
         self._emit_telemetry(report, queue)
         return report
 

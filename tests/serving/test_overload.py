@@ -395,3 +395,42 @@ class TestOverloadTelemetry:
             assert dropped == report.offered - report.served
         finally:
             disable_telemetry()
+
+
+class TestServerStatsPending:
+    """``stats().pending`` counts only submissions no drain has settled."""
+
+    def test_dropped_requests_are_not_pending(self):
+        server = _server(
+            overload=OverloadPolicy(
+                queue_capacity=2, shed_threshold=0.5, shed_below_priority=1,
+                evict_lower_priority=False,
+            )
+        )
+        server.submit(app="helr", arrival_s=0.0, priority=1)  # served
+        server.submit(app="helr", arrival_s=0.0, priority=1)  # served
+        server.submit(app="helr", arrival_s=0.0, priority=0)  # shed
+        server.submit(app="helr", arrival_s=0.0, priority=1)  # rejected
+        late = server.submit(app="helr", arrival_s=50.0, priority=1)
+        server.cancel(late.rid, at_s=40.0)  # cancelled
+        assert server.stats().pending == 5
+        report = server.drain()
+        assert (report.served, report.shed_count, report.rejected_count,
+                report.cancelled_count) == (2, 1, 1, 1)
+        stats = server.stats()
+        assert (stats.submitted, stats.served, stats.pending) == (5, 2, 0)
+
+    def test_submissions_after_a_drain_are_pending(self):
+        server = _server(overload=OverloadPolicy(queue_capacity=2))
+        for _ in range(4):
+            server.submit(app="helr", arrival_s=0.0)
+        server.drain()
+        assert server.stats().pending == 0
+        server.submit(app="helr", arrival_s=100.0)
+        server.submit(app="helr", arrival_s=100.0)
+        assert server.stats().pending == 2
+        server.drain()
+        assert server.stats().pending == 0
+        server.clear_submissions()
+        server.submit(app="helr", arrival_s=0.0)
+        assert server.stats().pending == 1

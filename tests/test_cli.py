@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -507,3 +509,18 @@ class TestAutotuneBenchCommand:
     def test_bench_autotune_unknown_device(self, capsys):
         assert main(["bench", "autotune", "--device", "t4"]) == 2
         assert "unknown device" in capsys.readouterr().err
+
+
+def test_serve_help_names_every_policy_and_preset(capsys):
+    from repro.serving.policies import POLICIES
+    from repro.serving.workload import WORKLOAD_PRESETS
+
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    workload = text[text.index("--workload WORKLOAD ") : text.index("--policy POLICY ")]
+    policy = text[text.index("--policy POLICY ") : text.index("--set SET ")]
+    for name in WORKLOAD_PRESETS:
+        assert re.search(rf"\b{name}\b", workload), name
+    for name in POLICIES:
+        assert re.search(rf"\b{name}\b", policy), name
