@@ -11,11 +11,11 @@ paper's discussion (Section 4.4):
   reference.
 * :class:`NttStack` -- the same transform batched across a whole RNS limb
   stack: one call moves an ``(L, ..., N)`` double-CRT tensor between the
-  coefficient and evaluation domains with no Python-level per-limb loop.
-  Its engine follows from the degree and the moduli: sub-``2**31`` stacks
-  run as exact float64 GEMMs -- one ``N x N`` matmul per limb for small
-  ``N`` (one-step), the four-step split otherwise -- and Barrett stacks
-  run the butterfly stages over ``(L, N)`` stacked twiddle tables.
+  coefficient and evaluation domains.  Its engine follows from the degree
+  and the moduli: sub-``2**31`` stacks run as exact float64 GEMMs -- one
+  ``N x N`` matmul per limb for small ``N`` (one-step), otherwise the
+  four-step split one limb's slab at a time -- and Barrett stacks run the
+  butterfly stages over ``(L, N)`` stacked twiddle tables.
 * :func:`four_step_ntt` / :func:`multi_step_ntt` -- the matrix-multiplication
   formulations (four-step and the generalised "ten-step"/radix-16
   decomposition) that Neo maps onto tensor cores.  They operate on the
@@ -291,7 +291,9 @@ class NttStack:
       in (the ``factors=(N,)`` case of :func:`multi_step_ntt`).
     * ``"four-step"`` -- every other sub-``2**31`` stack: the paper's
       four-step GEMM NTT (Section 4.4), two constant
-      ``sqrt(N) x sqrt(N)`` matrices around an element-wise twiddle.
+      ``sqrt(N) x sqrt(N)`` matrices around an element-wise twiddle, run
+      one limb's ``(batch, a, b)`` slab at a time against that limb's scalar
+      modulus (see :meth:`_reduce`) so temporaries stay cache-sized.
     * ``"butterfly"`` -- Barrett moduli (``>= 2**31``), whose residues
       overflow the float64 ``2**53`` bound: stacked ``(L, N)`` twiddle
       tables drive one sequence of vectorised butterfly stages.
@@ -304,22 +306,24 @@ class NttStack:
     """
 
     #: Largest degree run as a one-step ``N x N`` matmul.  Above it the
-    #: O(N^2) matmul loses to the O(N^1.5) four-step split (a tie at 128,
-    #: at 4x the matrix memory).  Forward times in microseconds on a
-    #: ``(12, 3, N)`` stack of 25-bit primes (numpy 2.4, one OpenBLAS
-    #: thread, 2-core Xeon VM); inverses are within ~1.5x of these:
+    #: O(N^2) matmul loses to the O(N^1.5) four-step split; below it the
+    #: four-step's per-limb loop (~25 numpy calls a limb) costs more than
+    #: the whole matmul.  Forward times in microseconds, median of 41
+    #: interleaved runs on ``(12, 3, N)`` and ``(12, N)`` stacks of 25-bit
+    #: primes (numpy 2.4, one OpenBLAS thread, 2-core Xeon VM); inverses
+    #: are within ~2x of these and cross over at the same degree:
     #:
-    #: ====  ========  =========  =========
-    #: N     one-step  four-step  butterfly
-    #: ====  ========  =========  =========
-    #: 8     21        76         158
-    #: 32    22        68         196
-    #: 64    49        98         337
-    #: 128   163       169        607
-    #: 256   730       327        1567
-    #: 2048  --        2321       10985
-    #: ====  ========  =========  =========
-    _ONE_STEP_MAX_DEGREE = 1 << 6
+    #: ====  ========  =========  =========  ===============  ================
+    #: N     one-step  four-step  butterfly  one-step (12,N)  four-step (12,N)
+    #: ====  ========  =========  =========  ===============  ================
+    #: 8     18        321        118        32               552
+    #: 32    33        334        258        46               589
+    #: 64    59        368        427        42               349
+    #: 128   187       436        777        130              371
+    #: 256   1209      631        1647       581              411
+    #: 2048  --        2353       14812      --               1034
+    #: ====  ========  =========  =========  ===============  ================
+    _ONE_STEP_MAX_DEGREE = 1 << 7
 
     #: Largest matrix side of the four-step split whose three-GEMM
     #: (Karatsuba) form stays exact: ``k * 2**34 < 2**53`` for the float64
@@ -507,12 +511,14 @@ class NttStack:
         """Constant matrices of the four-step split, twist/bit-rev folded in.
 
         Forward maps ``x.reshape(a, b)`` through a left ``(a, a)`` matmul,
-        an element-wise twiddle product ``x * tw % q`` (below ``2**62`` for
-        these sub-``2**31`` moduli), and a right ``(b, b)`` matmul so the
+        an element-wise twiddle product ``x * tw mod q`` (below ``2**62``
+        for these sub-``2**31`` moduli), and a right ``(b, b)`` matmul so the
         flat result *is* the butterfly output: the negacyclic ``psi`` twist
         rides in the matrix entries and the bit-reversal permutes the
         constant rows/columns instead of the data.  The inverse mirrors it
-        with ``omega**-1`` powers and ``N**-1 psi**-j`` folded in.
+        with ``omega**-1`` powers and ``N**-1 psi**-j`` folded in, right
+        matmul first.  Each limb keeps its own ``(q, 2**32 mod q, first
+        split, twiddle, second split)``, matrices in the order they apply.
         """
         cached = self._gemm_inv if inverse else self._gemm_fwd
         if cached is not None:
@@ -524,7 +530,7 @@ class NttStack:
         rev_b = _bit_reverse_permutation(b)
         j1 = np.arange(a)
         j2 = np.arange(b)
-        left, tw, right = [], [], []
+        limbs = []
         for plan in self.plans:
             q = plan.modulus
             omega = plan.psi * plan.psi % q
@@ -555,10 +561,9 @@ class NttStack:
                 tw_q = psi[j2][None, :] * pw[np.outer(rev_a[j1], j2) % n] % _U64(q)
                 # WB[j2, c] = w^{a j2 rev_b(c)};  cols c = rev(k2)
                 mat_r = pw[(a * np.outer(j2, rev_b[j2])) % n]
-            left.append(mat_l)
-            tw.append(tw_q)
-            right.append(mat_r)
-        L = len(self.moduli)
+            pair = (mat_r, mat_l) if inverse else (mat_l, mat_r)
+            first, second = map(self._split16, pair)
+            limbs.append((_U64(q), _U64((1 << 32) % q), first, tw_q, second))
         # With n-term contractions of unsplit data against the 2**16-weight
         # half of the matrix, float64 sums stay exact iff
         # ``n * (q-1) * (2**16 - 1) < 2**53`` -- then two GEMMs suffice and
@@ -568,19 +573,9 @@ class NttStack:
         tables = {
             "a": a,
             "b": b,
-            "left": tuple(
-                s[:, None] for s in map(np.stack, zip(*map(self._split16, left)))
-            ),
-            "right": tuple(
-                s[:, None] for s in map(np.stack, zip(*map(self._split16, right)))
-            ),
+            "limbs": limbs,
             "left_two": a * (q_max - 1) * ((1 << 16) - 1) < 1 << 53,
             "right_two": b * (q_max - 1) * ((1 << 16) - 1) < 1 << 53,
-            "tw": np.stack(tw)[:, None],
-            "q": self._q.reshape(L, 1, 1, 1),
-            "c32": np.array(
-                [(1 << 32) % q for q in self.moduli], dtype=_U64
-            ).reshape(L, 1, 1, 1),
         }
         if inverse:
             self._gemm_inv = tables
@@ -588,59 +583,71 @@ class NttStack:
             self._gemm_fwd = tables
         return tables
 
-    def _gemm_mod(
-        self, data: np.ndarray, w, t, left: bool, two: bool
-    ) -> np.ndarray:
+    @staticmethod
+    def _reduce(x: np.ndarray, q: np.uint64) -> np.ndarray:
+        """``x mod q`` in place as ``x - (x // q) q`` on an engine-owned array:
+        numpy divides by a ``uint64`` scalar through a precomputed
+        multiply-high, where ``%`` issues one hardware division per element.
+        """
+        d = x // q
+        d *= q
+        x -= d
+        return x
+
+    def _gemm_mod(self, data: np.ndarray, w, q, c32, left: bool, two: bool):
         """Exact modular matmul via float64 GEMMs over 16-bit matrix splits.
 
-        When `two` (small moduli), unsplit data against each matrix half
-        stays exact in float64: two GEMMs recombined as
-        ``(hh mod q) 2**16 + ll``.  Otherwise the data splits too and a
-        Karatsuba third GEMM recovers the cross terms; either way the
-        uint64 recombination stays under ``2**63`` before its single
+        `data` is one limb's ``(batch, a, b)`` slab, `q` and `c32` its
+        ``uint64`` modulus and ``2**32 mod q``; the right matmul is a single
+        ``(batch a, b) @ (b, b)`` GEMM.  When `two` (small moduli), unsplit
+        data against each matrix half stays exact in float64: two GEMMs
+        recombined as ``(hh mod q) 2**16 + ll``.  Otherwise the data splits
+        too and a Karatsuba third GEMM recovers the cross terms; either way
+        the uint64 recombination stays under ``2**63`` before its single
         reduction.
         """
+        shape = data.shape
+        if not left:
+            data = data.reshape(-1, shape[-1])
         wh, wl, ws = w
-        q = t["q"]
+
+        def exact(f):  # integral float64 sums below 2**53
+            return f.astype(np.int64).view(_U64)  # the vectorised cast
+
         if two:
             df = data.astype(np.float64)
             hh = (wh @ df) if left else (df @ wh)
             ll = (wl @ df) if left else (df @ wl)
-            r = (hh.astype(_U64) % q) << _U64(16)
-            r += ll.astype(_U64)
-            return r % q
-        dh = (data >> _U64(16)).astype(np.float64)
-        dl = (data & _U64(0xFFFF)).astype(np.float64)
-        if left:
-            hh = wh @ dh
-            ll = wl @ dl
-            mid = ws @ (dh + dl) - hh - ll
+            r = self._reduce(exact(hh), q) << _U64(16)
         else:
-            hh = dh @ wh
-            ll = dl @ wl
-            mid = (dh + dl) @ ws - hh - ll
-        r = (hh.astype(_U64) % q) * t["c32"]
-        r += mid.astype(_U64) << _U64(16)
-        r += ll.astype(_U64)
-        return r % q
+            dh = (data >> _U64(16)).astype(np.float64)
+            dl = (data & _U64(0xFFFF)).astype(np.float64)
+            if left:
+                hh = wh @ dh
+                ll = wl @ dl
+                mid = ws @ (dh + dl) - hh - ll
+            else:
+                hh = dh @ wh
+                ll = dl @ wl
+                mid = (dh + dl) @ ws - hh - ll
+            r = self._reduce(exact(hh), q) * c32
+            r += exact(mid) << _U64(16)
+        r += exact(ll)
+        return self._reduce(r, q).reshape(shape)
 
     def _gemm_transform(self, stack: np.ndarray, inverse: bool) -> np.ndarray:
+        """Four-step transform one limb at a time into one output stack."""
         t = self._gemm_tables(inverse)
-        a, b = t["a"], t["b"]
-        L = len(self.moduli)
-        batch = (
-            int(np.prod(stack.shape[1:-1], dtype=np.int64)) if stack.ndim > 2 else 1
-        )
-        x = stack.reshape(L, batch, a, b)
-        if inverse:
-            x = self._gemm_mod(x, t["right"], t, left=False, two=t["right_two"])
-            x = x * t["tw"] % t["q"]
-            x = self._gemm_mod(x, t["left"], t, left=True, two=t["left_two"])
-        else:
-            x = self._gemm_mod(x, t["left"], t, left=True, two=t["left_two"])
-            x = x * t["tw"] % t["q"]
-            x = self._gemm_mod(x, t["right"], t, left=False, two=t["right_two"])
-        return x.reshape(stack.shape)
+        left_two, right_two = t["left_two"], t["right_two"]
+        two = (right_two, left_two) if inverse else (left_two, right_two)
+        x = stack.reshape(len(self.moduli), -1, t["a"], t["b"])
+        out = np.empty(x.shape, dtype=_U64)
+        for src, dst, (q, c32, first, tw, second) in zip(x, out, t["limbs"]):
+            y = self._gemm_mod(src, first, q, c32, left=not inverse, two=two[0])
+            y *= tw
+            y = self._reduce(y, q)
+            dst[...] = self._gemm_mod(y, second, q, c32, left=inverse, two=two[1])
+        return out.reshape(stack.shape)
 
     def _forward_native(self, a: np.ndarray) -> np.ndarray:
         lead = a.shape[:-1]

@@ -19,9 +19,12 @@ Q36 = tuple(ntt_primes(36, 4096, 2))
 #: The largest 31-bit NTT primes: wide enough that the four-step split's
 #: two-GEMM bound ``side (q-1) (2**16-1) < 2**53`` fails at 128-wide sides.
 Q31 = tuple(ntt_primes(31, 16384, 2))
+#: ``helr-n8192``'s 30-bit primes: its q0 ``1073692673`` clears the right
+#: side's two-GEMM bound at N=8192 by only ~6e-5 of ``2**53``.
+Q30_8192 = tuple(ntt_primes(30, 8192, 3))
 MIXED = Q25[:2] + Q36[:1]
 MODULI = {"q25": Q25, "q27": Q27, "q30": Q30, "q36": Q36, "mixed": MIXED}
-DEGREES = [2, 8, 32, 64, 256, 4096]
+DEGREES = [2, 8, 32, 64, 128, 256, 4096]
 BATCHES = [(), (3,), (3, 4)]
 
 
@@ -125,20 +128,51 @@ def test_one_step_bound_routes_wide_moduli_to_four_step(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "degree, left_two, right_two", [(8192, True, False), (16384, False, False)]
+    "moduli, degree, left_two, right_two",
+    [
+        pytest.param(Q31, 8192, True, False, id="8192-True-False"),
+        pytest.param(Q31, 16384, False, False, id="16384-False-False"),
+        pytest.param(Q30_8192, 8192, True, True, id="q30-8192-True-True"),
+    ],
 )
-def test_four_step_three_gemm_branch(degree, left_two, right_two):
+def test_four_step_three_gemm_branch(moduli, degree, left_two, right_two):
     """31-bit moduli at N >= 8192 split the data too (three GEMMs,
-    Karatsuba) on every side whose two-GEMM float64 sums would be inexact."""
-    stack = ntt.NttStack(degree, Q31)
+    Karatsuba) on every side whose two-GEMM float64 sums would be inexact;
+    30-bit moduli at N=8192 sit just inside both two-GEMM bounds."""
+    stack = ntt.NttStack(degree, moduli)
     assert stack.engine == "four-step"
     for inverse in (False, True):
         tables = stack._gemm_tables(inverse)
         assert (tables["left_two"], tables["right_two"]) == (left_two, right_two)
-    x = _random_stack(Q31, (degree,), seed=degree)
+    x = _random_stack(moduli, (degree,), seed=degree)
     _check_against_oracle(stack, x)
-    all_max = np.stack([np.full(degree, q - 1, dtype=np.uint64) for q in Q31])
+    all_max = np.stack([np.full(degree, q - 1, dtype=np.uint64) for q in moduli])
     _check_against_oracle(stack, all_max)
+
+
+@pytest.mark.parametrize(
+    "q", [3] + [ntt_primes(bits, 4096, 1)[0] for bits in (25, 28, 30, 31)]
+)
+def test_scalar_reduction_matches_mod(q, rng):
+    """``x - (x // q) q`` equals ``x % q`` over the whole uint64 range."""
+    edges = [0, 1, q - 1, q, 7 * q, 7 * q - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1]
+    edges += [k * q for k in ((2**64 - 1) // q, (2**64 - 1) // q - 1)]
+    x = np.array(edges, dtype=np.uint64)
+    x = np.concatenate([x, x - np.uint64(1), rng.integers(0, 2**64, 4096, np.uint64)])
+    expected = x % np.uint64(q)
+    out = ntt.NttStack._reduce(x, np.uint64(q))
+    assert out is x and np.array_equal(out, expected)
+
+
+def test_four_step_klss_shaped_stack():
+    """The per-limb loop runs any batch rank: a 4-D ``(L, 4, 2, N)`` stack."""
+    moduli = tuple(ntt_primes(28, 256, 5))
+    stack = ntt.NttStack(256, moduli)
+    assert stack.engine == "four-step"
+    x = _random_stack(moduli, (4, 2, 256), seed=28)
+    before = x.copy()
+    _check_against_oracle(stack, x)
+    assert np.array_equal(x, before), "transform mutated its input"
 
 
 def test_butterflies_when_neither_gemm_bound_holds(monkeypatch):
