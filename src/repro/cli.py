@@ -11,9 +11,6 @@ Usage::
     python -m repro serve --gpus 4 --workload overload  # fleet serving report
     python -m repro metrics             # metrics snapshot of a serve run
     python -m repro trace req-0         # one request's span tree
-    python -m repro bench serving       # continuous batching vs serial
-    python -m repro bench fleet         # fleet scaling vs one device
-    python -m repro bench serving --record     # append to BENCH_serving.json
 """
 
 from __future__ import annotations
@@ -373,7 +370,7 @@ def cmd_serve(args) -> int:
             )
         phases = parse_workload_spec(args.workload)
         requests = synthesize_arrivals(phases, seed=args.seed)
-        if args.gpus > 1:
+        if args.gpus != 1 or args.tensor_parallel != 1:
             server = Fleet(
                 gpus=args.gpus,
                 params=args.set,
@@ -502,7 +499,7 @@ def cmd_metrics(args) -> int:
     try:
         phases = parse_workload_spec(args.workload)
         requests = synthesize_arrivals(phases, seed=args.seed)
-        if args.gpus > 1:
+        if args.gpus != 1:
             server = Fleet(gpus=args.gpus, params=args.set)
         else:
             server = Server(params=args.set)
@@ -564,200 +561,6 @@ def cmd_trace(args) -> int:
             fh.write(text + ("\n" if text else ""))
         print(f"span log for {trace_id} written to {args.jsonl}")
     return 0
-
-
-def _bench_finish(args, name: str, metrics, meta) -> int:
-    """Shared --record / --fail-on-regress tail of the bench commands."""
-    if not (args.record or args.fail_on_regress):
-        return 0
-    from .telemetry.bench_history import (
-        compare_to_last,
-        format_regressions,
-        history_path,
-        record_result,
-    )
-
-    baseline, regressions = compare_to_last(
-        name, metrics, directory=args.bench_dir, rtol=args.rtol
-    )
-    if baseline is not None:
-        _print(
-            f"vs last recorded run ({baseline.recorded_at}): "
-            + format_regressions(regressions)
-        )
-    if args.record:
-        record_result(name, metrics, meta=meta, directory=args.bench_dir)
-        print(f"recorded to {history_path(name, args.bench_dir)}")
-    if regressions and args.fail_on_regress:
-        return 1
-    return 0
-
-
-def cmd_bench(args) -> int:
-    runners = {
-        "serving": _bench_serving,
-        "fleet": _bench_fleet,
-        "autotune": _bench_autotune,
-    }
-    runner = runners.get(args.kernel)
-    if runner is None:
-        print(
-            f"unknown bench kernel {args.kernel!r}; "
-            f"choose from: {', '.join(runners)}",
-            file=sys.stderr,
-        )
-        return 2
-    return runner(args)
-
-
-def _bench_serving(args) -> int:
-    """Continuous batching vs serial dispatch on the simulated clock."""
-    from .serving import Server, parse_workload_spec, synthesize_arrivals
-
-    workload = args.workload or "mixed"
-    try:
-        phases = parse_workload_spec(workload)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    requests = synthesize_arrivals(phases, seed=args.seed)
-    serial = Server(policy="fifo", max_batch=1, max_wait_s=0.0, lanes=1)
-    serial.submit_many(requests)
-    serial_report = serial.drain()
-    batched = Server()
-    batched.submit_many(requests)
-    batched_report = batched.drain()
-    speedup = (
-        batched_report.throughput_rps / serial_report.throughput_rps
-        if serial_report.throughput_rps
-        else 0.0
-    )
-    _print(
-        format_table(
-            ["dispatch", "req/s", "P95 s", "SLO attainment"],
-            [
-                ["serial", f"{serial_report.throughput_rps:.3f}",
-                 f"{serial_report.latency_summary()['p95']:.1f}",
-                 f"{100 * serial_report.slo_attainment:.1f}%"],
-                ["continuous", f"{batched_report.throughput_rps:.3f}",
-                 f"{batched_report.latency_summary()['p95']:.1f}",
-                 f"{100 * batched_report.slo_attainment:.1f}%"],
-            ],
-            title=f"Serving throughput, workload {workload!r} (seed {args.seed})",
-        )
-    )
-    _print(f"continuous batching speedup: {speedup:.2f}x")
-    return _bench_finish(
-        args, "serving",
-        {
-            "serial_rps": serial_report.throughput_rps,
-            "continuous_rps": batched_report.throughput_rps,
-            "batching_speedup": speedup,
-            "continuous_attainment": batched_report.slo_attainment,
-        },
-        meta={"workload": workload, "seed": args.seed},
-    )
-
-
-def _bench_fleet(args) -> int:
-    """Fleet scaling: N modeled GPUs vs one on an overload workload."""
-    from .serving import Fleet, Server, parse_workload_spec, synthesize_arrivals
-
-    workload = args.workload or "overload"
-    if args.gpus < 1:
-        print(f"--gpus must be >= 1, got {args.gpus}", file=sys.stderr)
-        return 2
-    try:
-        phases = parse_workload_spec(workload)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    requests = synthesize_arrivals(phases, seed=args.seed)
-    single = Server()
-    single.submit_many(requests)
-    single_report = single.drain()
-    fleet = Fleet(gpus=args.gpus)
-    fleet.submit_many(requests)
-    fleet_report = fleet.drain()
-    speedup = (
-        fleet_report.throughput_rps / single_report.throughput_rps
-        if single_report.throughput_rps
-        else 0.0
-    )
-    _print(
-        format_table(
-            ["devices", "req/s", "P95 s", "SLO attainment"],
-            [
-                ["1", f"{single_report.throughput_rps:.3f}",
-                 f"{single_report.latency_summary()['p95']:.1f}",
-                 f"{100 * single_report.slo_attainment:.1f}%"],
-                [str(args.gpus), f"{fleet_report.throughput_rps:.3f}",
-                 f"{fleet_report.latency_summary()['p95']:.1f}",
-                 f"{100 * fleet_report.slo_attainment:.1f}%"],
-            ],
-            title=f"Fleet scaling, workload {workload!r} (seed {args.seed})",
-        )
-    )
-    _print(
-        f"fleet speedup: {speedup:.2f}x on {args.gpus} device(s) "
-        f"({100 * speedup / args.gpus:.0f}% scaling efficiency)"
-    )
-    return _bench_finish(
-        args, "fleet",
-        {
-            "single_rps": single_report.throughput_rps,
-            "fleet_rps": fleet_report.throughput_rps,
-            "fleet_speedup": speedup,
-            "fleet_attainment": fleet_report.slo_attainment,
-        },
-        meta={"workload": workload, "gpus": args.gpus, "seed": args.seed},
-    )
-
-
-def _bench_autotune(args) -> int:
-    """Quick-budget plan search per app; tuned-vs-baseline on the model."""
-    import time
-
-    from .core import tune_app
-    from .gpu import get_device
-
-    try:
-        device = get_device(args.device).hier()
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    apps = ("helr", "packbootstrap", "resnet20")
-    rows = []
-    metrics = {}
-    start = time.perf_counter()
-    for app in apps:
-        report = tune_app(app, params="C", device=device, budget="quick")
-        best = report.best
-        baseline_ms = (
-            f"{report.baseline_time_s * 1e3:.1f}"
-            if report.baseline_time_s
-            else "n/a"
-        )
-        rows.append([
-            app, baseline_ms, f"{best.time_s * 1e3:.1f}",
-            f"{best.speedup:.2f}x" if best.speedup else "n/a",
-            best.label(),
-        ])
-        metrics[f"{app}_tuned_ms"] = best.time_s * 1e3
-        if best.speedup:
-            metrics[f"{app}_speedup"] = best.speedup
-    metrics["search_wall_s"] = time.perf_counter() - start
-    _print(
-        format_table(
-            ["app", "baseline ms", "tuned ms", "speedup", "configuration"],
-            rows,
-            title=f"Autotuned plans on {device.name} (set C, quick budget)",
-        )
-    )
-    return _bench_finish(
-        args, "autotune", metrics,
-        meta={"device": device.name, "budget": "quick", "apps": list(apps)},
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -971,44 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the request's spans as JSONL",
     )
     trace.set_defaults(func=cmd_trace)
-    bench = sub.add_parser(
-        "bench", help="benchmark serving, fleet scaling or the autotuner"
-    )
-    bench.add_argument(
-        "kernel", help="benchmark to run: serving, fleet, autotune"
-    )
-    bench.add_argument(
-        "--device", default="a100",
-        help="device for the autotune bench (default: a100)",
-    )
-    bench.add_argument(
-        "--workload", default=None,
-        help="workload preset or spec for serving/fleet benches "
-        "(default: mixed for serving, overload for fleet)",
-    )
-    bench.add_argument(
-        "--gpus", type=int, default=4,
-        help="fleet size for the fleet bench (default 4)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    bench.add_argument(
-        "--record", action="store_true",
-        help="append this run to BENCH_<kernel>.json",
-    )
-    bench.add_argument(
-        "--bench-dir", default=".",
-        help="directory holding BENCH_<kernel>.json (default: .)",
-    )
-    bench.add_argument(
-        "--fail-on-regress", action="store_true",
-        help="exit non-zero when a metric regresses vs the last recorded run",
-    )
-    bench.add_argument(
-        "--rtol", type=float, default=0.5,
-        help="relative regression tolerance (default 0.5 -- wall-clock "
-        "timings on shared CI runners jitter)",
-    )
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

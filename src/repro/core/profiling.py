@@ -242,8 +242,3 @@ def timeline_schedule_result(timeline: Sequence[ScheduledKernel]) -> ScheduleRes
         busy[k.resource] += k.duration_s
     makespan = max((k.end_s for k in timeline), default=0.0)
     return ScheduleResult(makespan, list(timeline), dict(busy))
-
-
-def timeline_chrome_trace(timeline: Sequence[ScheduledKernel]) -> str:
-    """Chrome ``chrome://tracing`` JSON for a serving (or kernel) timeline."""
-    return timeline_schedule_result(timeline).to_chrome_trace()

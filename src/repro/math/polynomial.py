@@ -317,10 +317,6 @@ class RnsPolynomial:
             self.is_ntt,
         )
 
-    def limb_stack(self) -> np.ndarray:
-        """The limbs as one object-dtype matrix of shape (limbs, N)."""
-        return np.asarray(self._stack, dtype=object)
-
     def __repr__(self) -> str:
         domain = "ntt" if self.is_ntt else "coeff"
         return (

@@ -135,9 +135,6 @@ class FaultPlan:
     slowdowns: List[SlowDeviceFault] = field(default_factory=list)
     cancels: List[CancelFault] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.bursts or self.slowdowns or self.cancels)
-
     def burst_requests(self, server: Server) -> List[Request]:
         """Submit every burst's arrivals; returns the created requests."""
         created: List[Request] = []

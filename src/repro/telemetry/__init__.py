@@ -1,5 +1,4 @@
-"""Unified telemetry: metrics registry, span tracing, FHE health meters,
-benchmark history.
+"""Unified telemetry: metrics registry, span tracing, FHE health meters.
 
 The always-on observability layer the serving / fleet / autotuning
 roadmap items report through:
@@ -14,8 +13,6 @@ roadmap items report through:
   registry of named caches (:func:`all_cache_stats`, :func:`clear_caches`).
 * :mod:`repro.telemetry.fhe` -- noise-budget / level / scale-drift meters
   over the CKKS evaluator and analytic serving schedules.
-* :mod:`repro.telemetry.bench_history` -- ``BENCH_<name>.json`` recorder
-  and the regression comparator CI gates on.
 
 ``fhe`` (which reaches into :mod:`repro.ckks`) loads lazily so that ckks
 modules can import the stdlib-only telemetry layers without a cycle.
@@ -51,12 +48,6 @@ _LAZY = {
     "TrajectoryPoint": "fhe",
     "ModeledNoisePoint": "fhe",
     "modeled_noise_trajectory": "fhe",
-    "BenchRecord": "bench_history",
-    "Regression": "bench_history",
-    "compare_to_last": "bench_history",
-    "format_regressions": "bench_history",
-    "load_history": "bench_history",
-    "record_result": "bench_history",
 }
 
 
@@ -91,16 +82,10 @@ __all__ = [
     "global_registry",
     "span",
     "telemetry_enabled",
-    # lazy (repro.telemetry.fhe / bench_history)
+    # lazy (repro.telemetry.fhe)
     "FheMeter",
     "FheWarning",
     "TrajectoryPoint",
     "ModeledNoisePoint",
     "modeled_noise_trajectory",
-    "BenchRecord",
-    "Regression",
-    "compare_to_last",
-    "format_regressions",
-    "load_history",
-    "record_result",
 ]

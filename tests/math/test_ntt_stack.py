@@ -20,7 +20,8 @@ Q36 = tuple(ntt_primes(36, 4096, 2))
 #: two-GEMM bound ``side (q-1) (2**16-1) < 2**53`` fails at 128-wide sides.
 Q31 = tuple(ntt_primes(31, 16384, 2))
 #: ``helr-n8192``'s 30-bit primes: its q0 ``1073692673`` clears the right
-#: side's two-GEMM bound at N=8192 by only ~6e-5 of ``2**53``.
+#: side's two-GEMM formula bound at N=8192 by only ~6e-5 of ``2**53``; its
+#: actual tables' largest column sums times ``q-1`` stay <= 0.50 * 2**53.
 Q30_8192 = tuple(ntt_primes(30, 8192, 3))
 MIXED = Q25[:2] + Q36[:1]
 MODULI = {"q25": Q25, "q27": Q27, "q30": Q30, "q36": Q36, "mixed": MIXED}
@@ -33,6 +34,11 @@ def _random_stack(moduli, shape, seed):
     return np.stack(
         [rng.integers(0, q, size=shape, dtype=np.uint64) for q in moduli]
     )
+
+
+def _full(moduli, degree, offset):
+    """Every coefficient of limb ``q`` set to ``q - offset``."""
+    return np.stack([np.full(degree, q - offset, dtype=np.uint64) for q in moduli])
 
 
 def _oracle(degree, moduli, stack, inverse):
@@ -146,8 +152,24 @@ def test_four_step_three_gemm_branch(moduli, degree, left_two, right_two):
         assert (tables["left_two"], tables["right_two"]) == (left_two, right_two)
     x = _random_stack(moduli, (degree,), seed=degree)
     _check_against_oracle(stack, x)
-    all_max = np.stack([np.full(degree, q - 1, dtype=np.uint64) for q in moduli])
-    _check_against_oracle(stack, all_max)
+    # All q - 1 is even, so every float64 partial sum stays even and exact
+    # up to 2**54; the odd q - 2 reaches the inexact range.
+    for offset in (1, 2):
+        _check_against_oracle(stack, _full(moduli, degree, offset))
+
+
+def test_four_step_two_gemm_past_bound_is_inexact():
+    """The odd all-(q-2) input reaches the inexact float64 range.  The
+    N=16384 31-bit forward left side's largest table row sums times
+    ``q-1`` are ~1.10-1.14 * 2**53; forced onto two GEMMs per side, that
+    transform must disagree with the oracle, so the branch test above
+    catches a wrong bound there."""
+    stack = ntt.NttStack(16384, Q31)  # own instance: no shared cache touched
+    tables = stack._gemm_tables(False)
+    assert not (tables["left_two"] or tables["right_two"])
+    tables["left_two"] = tables["right_two"] = True
+    x = _full(Q31, 16384, 2)
+    assert not np.array_equal(stack.forward(x), _oracle(16384, Q31, x, False))
 
 
 @pytest.mark.parametrize(

@@ -139,12 +139,6 @@ class TestServeCommand:
         assert "has no FP64 tensor cores" in err and "--autotune" in err
 
 
-class TestBenchCommand:
-    def test_bench_unknown_kernel(self, capsys):
-        assert main(["bench", "ntt"]) == 2
-        assert "unknown bench kernel" in capsys.readouterr().err
-
-
 class TestMetricsCommand:
     def test_prometheus_output(self, capsys):
         assert main(["metrics", "--workload", "smoke"]) == 0
@@ -228,45 +222,6 @@ class TestServeTelemetryOutputs:
         assert traced == []
 
 
-class TestBenchRecord:
-    SMOKE = ["bench", "serving", "--workload", "smoke"]
-
-    def test_record_creates_history(self, capsys, tmp_path):
-        from repro.telemetry.bench_history import load_history
-
-        assert main(self.SMOKE + ["--record", "--bench-dir",
-                                  str(tmp_path)]) == 0
-        (record,) = load_history("serving", str(tmp_path))
-        assert any(m.endswith("_speedup") for m in record.metrics)
-        assert "recorded to" in capsys.readouterr().out
-
-    def test_fail_on_regress_passes_on_stable_rerun(self, capsys, tmp_path):
-        # serving metrics come off the simulated clock, so the rerun
-        # compares clean even at the default rtol
-        args = self.SMOKE + ["--record", "--bench-dir", str(tmp_path),
-                             "--fail-on-regress"]
-        assert main(args) == 0
-        assert main(args) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_fail_on_regress_flags_doctored_baseline(self, capsys, tmp_path):
-        import json
-
-        from repro.telemetry.bench_history import history_path
-
-        assert main(self.SMOKE + ["--record", "--bench-dir",
-                                  str(tmp_path)]) == 0
-        path = history_path("serving", str(tmp_path))
-        history = json.loads(open(path).read())
-        # forge an impossibly high throughput baseline: the rerun must regress
-        history[-1]["metrics"]["continuous_rps"] *= 1e9
-        with open(path, "w") as fh:
-            json.dump(history, fh)
-        assert main(self.SMOKE + ["--bench-dir", str(tmp_path),
-                                  "--fail-on-regress"]) == 1
-        assert "regression(s)" in capsys.readouterr().out
-
-
 class TestFleetServeCommand:
     SMOKE = ["serve", "--gpus", "4", "--workload", "smoke",
              "--max-batch", "16"]
@@ -324,55 +279,22 @@ class TestFleetMetricsCommand:
         assert "# TYPE serving_requests_total counter" in out
 
 
-class TestServingBenchCommand:
-    SMOKE = ["bench", "serving", "--workload", "smoke"]
-
-    def test_bench_serving_smoke(self, capsys):
-        assert main(self.SMOKE) == 0
-        out = capsys.readouterr().out
-        assert "Serving throughput" in out
-        assert "serial" in out and "continuous" in out
-        assert "batching speedup" in out
-
-    def test_bench_serving_record(self, capsys, tmp_path):
-        from repro.telemetry.bench_history import load_history
-
-        assert main(self.SMOKE + ["--record", "--bench-dir",
-                                  str(tmp_path)]) == 0
-        (record,) = load_history("serving", str(tmp_path))
-        assert "batching_speedup" in record.metrics
-        assert "continuous_rps" in record.metrics
-
-    def test_bench_serving_rejects_bad_workload(self, capsys):
-        assert main(["bench", "serving", "--workload", "nope:1"]) == 2
-
-
-class TestFleetBenchCommand:
-    SMOKE = ["bench", "fleet", "--workload", "smoke", "--gpus", "2"]
-
-    def test_bench_fleet_smoke(self, capsys):
-        assert main(self.SMOKE) == 0
-        out = capsys.readouterr().out
-        assert "Fleet scaling" in out
-        assert "fleet speedup" in out and "scaling efficiency" in out
-
-    def test_bench_fleet_record_and_stable_rerun(self, capsys, tmp_path):
-        from repro.telemetry.bench_history import load_history
-
-        args = self.SMOKE + ["--record", "--bench-dir", str(tmp_path),
-                             "--fail-on-regress"]
-        # simulated-clock metrics are deterministic: the rerun compares
-        # clean against its own baseline even at default rtol
-        assert main(args) == 0
-        assert main(args) == 0
-        records = load_history("fleet", str(tmp_path))
-        assert len(records) == 2
-        assert records[0].metrics == records[1].metrics
-        assert "fleet_speedup" in records[0].metrics
-
-    def test_bench_fleet_rejects_bad_gpus(self, capsys):
-        assert main(["bench", "fleet", "--gpus", "0"]) == 2
-        assert "--gpus" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["serve", "--gpus", "0"], "need at least one GPU, got 0"),
+    (["serve", "--gpus", "-3"], "need at least one GPU, got -3"),
+    (["metrics", "--gpus", "0"], "need at least one GPU, got 0"),
+    (["metrics", "--gpus", "-3"], "need at least one GPU, got -3"),
+    (["serve", "--gpus", "1", "--tensor-parallel", "2"],
+     "tensor_parallel 2 must divide gpus 1"),
+    (["serve", "--tensor-parallel", "0"], "tensor_parallel must be >= 1, got 0"),
+], ids=["serve-gpus0", "serve-gpus-3", "metrics-gpus0", "metrics-gpus-3",
+        "serve-tp2-on-1", "serve-tp0"])
+def test_impossible_fleet_is_rejected(capsys, argv, message):
+    """Only --gpus 1 (with --tensor-parallel 1) serves on one device; any
+    other size goes to the Fleet constructor, whose check is one stderr
+    line and exit 2 -- never a silent single-device run."""
+    assert main(argv + ["--workload", "smoke"]) == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 class TestServeOverloadCommand:
@@ -485,29 +407,6 @@ class TestServeAutotune:
 
     def test_serve_unknown_device(self, capsys):
         assert main(["serve", "--device", "t4"]) == 2
-        assert "unknown device" in capsys.readouterr().err
-
-
-class TestAutotuneBenchCommand:
-    def test_bench_autotune_record_and_stable_rerun(self, capsys, tmp_path):
-        from repro.telemetry.bench_history import load_history
-
-        args = ["bench", "autotune", "--record", "--bench-dir", str(tmp_path),
-                "--fail-on-regress"]
-        # modeled-time metrics are deterministic: the rerun compares clean
-        assert main(args) == 0
-        assert main(args) == 0
-        records = load_history("autotune", str(tmp_path))
-        assert len(records) == 2
-        assert "helr_tuned_ms" in records[0].metrics
-        assert "helr_speedup" in records[0].metrics
-        a, b = records[0].metrics, records[1].metrics
-        assert all(a[k] == b[k] for k in a if not k.endswith("wall_s"))
-        out = capsys.readouterr().out
-        assert "Autotuned plans on NVIDIA A100" in out
-
-    def test_bench_autotune_unknown_device(self, capsys):
-        assert main(["bench", "autotune", "--device", "t4"]) == 2
         assert "unknown device" in capsys.readouterr().err
 
 
