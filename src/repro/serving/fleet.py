@@ -27,16 +27,18 @@ single device's SLO.  The fleet layer scales the serving stack out:
   NVLink/PCIe bytes, and evaluation keys shard limb-wise across the group
   (cutting per-GPU HBM residency by the group size).
 
-The fleet-level :class:`FleetReport` aggregates per-device utilization,
-queue depths, interconnect bytes per kernel class, latency percentiles and
-SLO attainment, and exports all of it through the telemetry registry and
-tracer (``repro serve --gpus N``, ``repro metrics --gpus N``).
+The fleet-level :class:`FleetReport` is a ``ServingReport`` over the
+groups' merged records (so ``per_tier()`` and the shed/rejected counts work
+on fleets) plus per-device utilization, queue depths and interconnect bytes
+per kernel class, exported through the telemetry registry and tracer
+(``repro serve --gpus N``, ``repro metrics --gpus N``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.memory_footprint import (
@@ -47,7 +49,6 @@ from ..analysis.memory_footprint import (
 from ..analysis.reporting import format_table
 from ..ckks.params import ParameterSet, get_set
 from ..core.pipeline import NEO_CONFIG, PipelineConfig
-from ..core.profiling import latency_percentiles, timeline_schedule_result
 from ..core.streams import ScheduledKernel
 from ..core.trace_cache import TraceCache
 from ..gpu.device import A100, DeviceSpec
@@ -57,7 +58,7 @@ from ..telemetry.registry import MetricsRegistry, global_registry
 from ..telemetry.tracing import Tracer, active_tracer
 from .overload import OverloadPolicy
 from .policies import AdmissionPolicy
-from .request import Request, RequestRecord
+from .request import Request
 from .server import NeoServiceModel, Server, ServingReport
 
 #: Modeled Galois-key counts per application: the rotation sets their
@@ -421,13 +422,17 @@ class DeviceReport:
 
 
 @dataclass
-class FleetReport:
-    """Everything one fleet drain produced, aggregated across devices."""
+class FleetReport(ServingReport):
+    """One fleet drain: a :class:`ServingReport` over the merged records.
 
-    gpus: int
-    tensor_parallel: int
-    interconnect: str
-    placement: KeyPlacementPlan
+    :meth:`Fleet.drain` fills the inherited fields once with fleet-wide
+    values; ``lanes`` and ``streams_per_lane`` are per group.
+    """
+
+    gpus: int = 1
+    tensor_parallel: int = 1
+    interconnect: str = ""
+    placement: Optional[KeyPlacementPlan] = None
     devices: List[DeviceReport] = field(default_factory=list)
     #: Interconnect bytes per kernel class, summed over every executed
     #: batch (all zero at ``tensor_parallel=1``: data-parallel groups
@@ -438,70 +443,9 @@ class FleetReport:
     #: Host-link traffic: every request's ciphertexts in and results out.
     ingress_bytes: float = 0.0
 
-    # -- aggregation --------------------------------------------------------------
-
     @property
     def groups(self) -> int:
         return len(self.devices)
-
-    @property
-    def records(self) -> List[RequestRecord]:
-        merged = [r for d in self.devices for r in d.report.records]
-        merged.sort(key=lambda r: (r.finish_s, r.request.rid))
-        return merged
-
-    @property
-    def batches(self):
-        return [b for d in self.devices for b in d.report.batches]
-
-    @property
-    def served(self) -> int:
-        return sum(d.report.served for d in self.devices)
-
-    @property
-    def makespan_s(self) -> float:
-        return max((d.report.makespan_s for d in self.devices), default=0.0)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.served / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    def latencies_s(self) -> List[float]:
-        return [r.latency_s for d in self.devices for r in d.report.records]
-
-    def latency_summary(self) -> Dict[str, float]:
-        return latency_percentiles(self.latencies_s())
-
-    @property
-    def slo_violations(self) -> int:
-        return sum(d.report.slo_violations for d in self.devices)
-
-    @property
-    def slo_attainment(self) -> float:
-        served = self.served
-        return 1.0 - self.slo_violations / served if served else 1.0
-
-    # -- overload aggregation -----------------------------------------------------
-
-    @property
-    def shed_count(self) -> int:
-        return sum(d.report.shed_count for d in self.devices)
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(d.report.rejected_count for d in self.devices)
-
-    @property
-    def cancelled_count(self) -> int:
-        return sum(d.report.cancelled_count for d in self.devices)
-
-    @property
-    def offered(self) -> int:
-        return sum(d.report.offered for d in self.devices)
-
-    @property
-    def peak_pressure(self) -> float:
-        return max((d.report.peak_pressure for d in self.devices), default=0.0)
 
     @property
     def exchange_bytes(self) -> float:
@@ -531,9 +475,6 @@ class FleetReport:
                 )
         blocks.sort(key=lambda b: (b.start_s, b.stream, b.name))
         return blocks
-
-    def to_chrome_trace(self) -> str:
-        return timeline_schedule_result(self.timeline()).to_chrome_trace()
 
     def fingerprint(self) -> str:
         """SHA-256 over routing + every device timeline; replay-stable."""
@@ -570,12 +511,13 @@ class FleetReport:
             f"P99 {lat['p99']:.1f} s, max {lat['max']:.1f} s",
             f"  SLO        : {self.slo_violations} violations "
             f"({100 * self.slo_attainment:.1f}% attainment)",
+            *self._overload_lines(),
             "",
         ]
         rows = []
         for device in self.devices:
             report = device.report
-            dlat = latency_percentiles(report.latencies_s())
+            dlat = report.latency_summary()
             rows.append(
                 [
                     f"gpu{device.gpu}",
@@ -708,6 +650,7 @@ class Fleet:
         self.streams_per_lane = self.servers[0].streams_per_lane
         self._submitted: List[Request] = []
         self._rids: Set[int] = set()
+        self._estimates: Dict[Tuple[str, int], float] = {}
         self._last_report: Optional[FleetReport] = None
 
     # -- admission ----------------------------------------------------------------
@@ -734,8 +677,14 @@ class Fleet:
     # -- routing ------------------------------------------------------------------
 
     def _service_estimate(self, app: str, size: int) -> float:
-        """Single-request service estimate used for backlog routing."""
-        return self._model.service_time_s(app, size, self.streams_per_lane)
+        """Single-request service estimate for routing and autoscaling."""
+        key = (app, size)
+        est = self._estimates.get(key)
+        if est is None:
+            est = self._estimates[key] = self._model.service_time_s(
+                app, size, self.streams_per_lane
+            )
+        return est
 
     def route(
         self, requests: Sequence[Request], placement: KeyPlacementPlan
@@ -751,20 +700,13 @@ class Fleet:
         est_free = [0.0] * self.groups
         assignment: Dict[int, List[Request]] = {g: [] for g in range(self.groups)}
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
-        estimates: Dict[Tuple[str, int], float] = {}
         for request in ordered:
             eligible = placement.devices_for(request.app)
             group = min(
                 eligible, key=lambda g: (max(est_free[g], request.arrival_s), g)
             )
-            key = (request.app, request.size)
-            est = estimates.get(key)
-            if est is None:
-                est = estimates[key] = self._service_estimate(
-                    request.app, request.size
-                )
             est_free[group] = max(est_free[group], request.arrival_s) + (
-                est / self.lanes
+                self._service_estimate(request.app, request.size) / self.lanes
             )
             assignment[group].append(request)
         return assignment
@@ -788,15 +730,10 @@ class Fleet:
             (r.arrival_s for r in self._submitted), default=0.0
         )
         windows = [0.0] * (int(horizon // policy.window_s) + 1)
-        estimates: Dict[Tuple[str, int], float] = {}
         for request in self._submitted:
-            key = (request.app, request.size)
-            est = estimates.get(key)
-            if est is None:
-                est = estimates[key] = self._service_estimate(
-                    request.app, request.size
-                )
-            windows[int(request.arrival_s // policy.window_s)] += est
+            windows[int(request.arrival_s // policy.window_s)] += (
+                self._service_estimate(request.app, request.size)
+            )
         return plan_autoscale(
             windows,
             policy,
@@ -846,20 +783,50 @@ class Fleet:
                 )
             )
 
+        batches = [b for report in reports for b in report.batches]
         exchange: Dict[str, float] = {}
         if self._multi is not None:
-            for report in reports:
-                for batch in report.batches:
-                    table = self._model.exchange_bytes_for(
-                        batch.app, batch.executed_size
-                    )
-                    for name, size in table.items():
-                        exchange[name] = exchange.get(name, 0.0) + size
+            for batch in batches:
+                table = self._model.exchange_bytes_for(
+                    batch.app, batch.executed_size
+                )
+                for name, size in table.items():
+                    exchange[name] = exchange.get(name, 0.0) + size
 
         ingress = sum(
             2 * r.size * ciphertext_bytes(self.params) for r in self._submitted
         )
+        # Ordered by (finish_s, rid) in two stable passes: attribute keys
+        # build no per-record tuple for the collector to track.
+        records = [r for report in reports for r in report.records]
+        records.sort(key=attrgetter("request.rid"))
+        records.sort(key=attrgetter("finish_s"))
+        admission: Dict[str, int] = {}
+        for report in reports:
+            for key, count in report.admission.items():
+                admission[key] = admission.get(key, 0) + count
+        # The groups share one service model, so the last group's cache
+        # counters already cover the whole drain.
+        last = reports[-1]
         fleet_report = FleetReport(
+            records=records,
+            batches=batches,
+            lanes=self.lanes,
+            streams_per_lane=self.streams_per_lane,
+            makespan_s=makespan,
+            mean_queue_depth=(
+                sum(r.mean_queue_depth for r in reports) / len(reports)
+            ),
+            max_queue_depth=max(r.max_queue_depth for r in reports),
+            shed=[q for report in reports for q in report.shed],
+            rejected=[q for report in reports for q in report.rejected],
+            cancelled=[q for report in reports for q in report.cancelled],
+            admission=admission,
+            queue_capacity=last.queue_capacity,
+            peak_pressure=max(r.peak_pressure for r in reports),
+            cache=last.cache,
+            caches=last.caches,
+            tuned=last.tuned,
             gpus=self.gpus,
             tensor_parallel=self.tensor_parallel,
             interconnect=self.interconnect.name,

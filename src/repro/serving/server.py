@@ -49,9 +49,9 @@ QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 MAX_KERNEL_SPANS = 64
 
 #: Process-wide kernel-span descriptor cache.  The simulated kernel
-#: placement is a pure function of (params, config, app, size, streams,
-#: limit), so fresh Server instances share already-simulated shapes --
-#: keeps first-drain telemetry cost flat across servers.
+#: placement is a pure function of (params, config, app, size, streams),
+#: so fresh Server instances share already-simulated shapes -- keeps
+#: first-drain telemetry cost flat across servers.
 _SPAN_DESCRIPTORS = Cache("span_descriptors", maxsize=1024)
 
 
@@ -85,8 +85,6 @@ class NeoServiceModel:
         trace_cache: Optional[TraceCache] = None,
         device: DeviceSpec = A100,
         autotune: bool = False,
-        tuning_store=None,
-        tuning_budget: str = "quick",
     ):
         if autotune:
             device = device.hier()
@@ -103,8 +101,6 @@ class NeoServiceModel:
         self._config = config
         self._device = device
         self._autotune = autotune
-        self._tuning_budget = tuning_budget
-        self._tuning_store = tuning_store
         self._tuned_roots: Dict[str, NeoContext] = {}
         self._tuned_choices: Dict[str, object] = {}
         self._apps: Dict[str, object] = {}
@@ -122,12 +118,11 @@ class NeoServiceModel:
         if app not in self._tuned_roots:
             from ..core.autotuner import default_tuning_store
 
-            store = self._tuning_store or default_tuning_store()
-            report = store.get_or_tune(
+            report = default_tuning_store().get_or_tune(
                 app,
                 params=self._root.params,
                 device=self._device,
-                budget=self._tuning_budget,
+                budget="quick",
                 trace_cache=self._root.trace_cache,
             )
             best = report.best
@@ -182,16 +177,15 @@ class NeoServiceModel:
     def cache_stats(self) -> CacheStats:
         return self._root.cache_stats()
 
-    def batch_spans(
-        self, app: str, size: int, streams: int, limit: int = MAX_KERNEL_SPANS
-    ) -> tuple:
+    def batch_spans(self, app: str, size: int, streams: int) -> tuple:
         """Relative kernel spans of one `app` batch: the per-op path.
 
         Returns ``(descriptors, total_kernels)`` where each descriptor is
         ``(name, resource, stream, rel_start_s, rel_end_s)`` relative to the
-        batch start.  The discrete-event stream schedule is simulated once
-        per (app, size, streams) shape and rescaled onto the analytic
-        service time, so batch sub-spans land inside the batch span exactly.
+        batch start, for the first :data:`MAX_KERNEL_SPANS` kernels.  The
+        discrete-event stream schedule is simulated once per (app, size,
+        streams) shape and rescaled onto the analytic service time, so
+        batch sub-spans land inside the batch span exactly.
         """
         root = self._root_for(app)
 
@@ -205,12 +199,12 @@ class NeoServiceModel:
             scale = service / result.makespan_s if result.makespan_s > 0 else 1.0
             descriptors = tuple(
                 (k.name, k.resource, k.stream, k.start_s * scale, k.end_s * scale)
-                for k in result.timeline[:limit]
+                for k in result.timeline[:MAX_KERNEL_SPANS]
             )
             return (descriptors, len(result.timeline))
 
         return _SPAN_DESCRIPTORS.get_or_build(
-            (root.params, root.config, app, size, streams, limit), build
+            (root.params, root.config, app, size, streams), build
         )
 
     def noise_trajectory(self, app: str):
@@ -403,6 +397,45 @@ class ServingReport:
 
     # -- reporting ----------------------------------------------------------------
 
+    def _overload_lines(self) -> List[str]:
+        """The drop line and per-tier table; empty when nothing could drop."""
+        if self.offered == self.served and self.queue_capacity is None:
+            return []
+        cap = (
+            f"capacity {self.queue_capacity}"
+            if self.queue_capacity is not None
+            else "unbounded"
+        )
+        lines = [
+            f"  overload   : {self.shed_count} shed, "
+            f"{self.rejected_count} rejected, "
+            f"{self.cancelled_count} cancelled of {self.offered} offered "
+            f"({cap}, peak pressure {100 * self.peak_pressure:.0f}%)"
+        ]
+        tiers = self.per_tier()
+        if len(tiers) > 1:
+            rows = [
+                [
+                    tier,
+                    int(entry["served"]),
+                    int(entry["shed"]),
+                    int(entry["rejected"]),
+                    f"{entry['p95_s']:.1f}",
+                    f"{100 * entry['slo_attainment']:.1f}%",
+                ]
+                for tier, entry in tiers.items()
+            ]
+            lines.append("")
+            lines.append(
+                format_table(
+                    ["tier", "served", "shed", "rejected", "P95 s",
+                     "SLO attainment"],
+                    rows,
+                    title="per-tier outcomes",
+                )
+            )
+        return lines
+
     def format(self) -> str:
         """A printable throughput / latency / batching report."""
         lat = self.latency_summary()
@@ -420,42 +453,9 @@ class ServingReport:
             f"peak {self.max_queue_depth}",
             f"  batches    : {len(self.batches)} formed, "
             f"mean fill {self.mean_batch_size():.1f} cts",
+            *self._overload_lines(),
+            "",
         ]
-        if self.offered != self.served or self.queue_capacity is not None:
-            cap = (
-                f"capacity {self.queue_capacity}"
-                if self.queue_capacity is not None
-                else "unbounded"
-            )
-            lines.append(
-                f"  overload   : {self.shed_count} shed, "
-                f"{self.rejected_count} rejected, "
-                f"{self.cancelled_count} cancelled of {self.offered} offered "
-                f"({cap}, peak pressure {100 * self.peak_pressure:.0f}%)"
-            )
-            tiers = self.per_tier()
-            if len(tiers) > 1:
-                rows = [
-                    [
-                        tier,
-                        int(entry["served"]),
-                        int(entry["shed"]),
-                        int(entry["rejected"]),
-                        f"{entry['p95_s']:.1f}",
-                        f"{100 * entry['slo_attainment']:.1f}%",
-                    ]
-                    for tier, entry in tiers.items()
-                ]
-                lines.append("")
-                lines.append(
-                    format_table(
-                        ["tier", "served", "shed", "rejected", "P95 s",
-                         "SLO attainment"],
-                        rows,
-                        title="per-tier outcomes",
-                    )
-                )
-        lines.append("")
         per_app: Dict[str, List[RequestRecord]] = {}
         for record in self.records:
             per_app.setdefault(record.request.app, []).append(record)

@@ -1,5 +1,8 @@
 """Fleet scheduler: key placement, routing invariants, determinism, export."""
 
+import math
+from collections import Counter
+
 import pytest
 
 from repro.ckks.params import get_set
@@ -7,6 +10,7 @@ from repro.gpu.multi_gpu import EXCHANGE_KERNELS
 from repro.serving import (
     Fleet,
     KeyPlacementPlan,
+    OverloadPolicy,
     Request,
     app_key_bytes,
     parse_workload_spec,
@@ -244,6 +248,97 @@ class TestFleetReport:
         assert len(records) == 20
         finishes = [r.finish_s for r in records]
         assert finishes == sorted(finishes)
+
+
+#: Three tiers at 70 req/s for 10 s: a queue bound of 32 sheds and rejects.
+TIERED = (
+    "helr:300:30:1:0:premium,helr:200:20:1:0:standard,"
+    "packbootstrap:200:20:1:0:batch"
+)
+
+
+@pytest.fixture(scope="module", params=[
+    (1, 1, None), (4, 1, None), (4, 2, None),
+    (4, 1, OverloadPolicy(queue_capacity=32)),
+], ids=["1gpu", "4gpu", "4gpu-tp2", "4gpu-cap32"])
+def tiered_report(request):
+    gpus, tensor_parallel, overload = request.param
+    fleet = Fleet(gpus=gpus, tensor_parallel=tensor_parallel,
+                  overload=overload, max_wait_s=5.0)
+    fleet.submit_many(synthesize_arrivals(parse_workload_spec(TIERED), seed=0))
+    report = fleet.drain()
+    assert report.devices and report.served
+    if overload is not None:
+        assert report.shed_count and report.rejected_count
+    return report
+
+
+class TestAggregatesAgainstGroups:
+    """The fleet's inherited aggregates against the same figures recomputed
+    from the group reports, one layout per fixture case."""
+
+    def test_counts_match_the_groups(self, tiered_report):
+        groups = [d.report for d in tiered_report.devices]
+        assert tiered_report.served == sum(len(g.records) for g in groups)
+        assert tiered_report.offered == sum(g.offered for g in groups)
+        assert tiered_report.shed_count == sum(len(g.shed) for g in groups)
+        assert tiered_report.rejected_count == sum(
+            len(g.rejected) for g in groups
+        )
+        assert tiered_report.slo_violations == sum(
+            not r.slo_met for g in groups for r in g.records
+        )
+        assert tiered_report.makespan_s == max(g.makespan_s for g in groups)
+
+    def test_latency_percentiles_match_the_groups(self, tiered_report):
+        latencies = sorted(
+            r.latency_s for d in tiered_report.devices for r in d.report.records
+        )
+        lat = tiered_report.latency_summary()
+        for q in (50, 95, 99):
+            rank = math.ceil(q / 100 * len(latencies))
+            assert lat[f"p{q}"] == latencies[rank - 1]
+        assert lat["max"] == latencies[-1]
+
+    def test_per_tier_columns_sum_to_the_fleet_counts(self, tiered_report):
+        tiers = tiered_report.per_tier()
+        assert set(tiers) == {"premium", "standard", "batch"}
+        for column, total in (
+            ("served", tiered_report.served),
+            ("shed", tiered_report.shed_count),
+            ("rejected", tiered_report.rejected_count),
+            ("cancelled", tiered_report.cancelled_count),
+        ):
+            assert sum(t[column] for t in tiers.values()) == total
+
+    def test_record_set_fields_are_merged(self, tiered_report):
+        groups = [d.report for d in tiered_report.devices]
+        assert tiered_report.records == sorted(
+            (r for g in groups for r in g.records),
+            key=lambda r: (r.finish_s, r.request.rid),
+        )
+        for name in ("batches", "shed", "rejected", "cancelled"):
+            assert getattr(tiered_report, name) == [
+                item for g in groups for item in getattr(g, name)
+            ]
+        assert tiered_report.max_queue_depth == max(
+            g.max_queue_depth for g in groups
+        )
+        assert tiered_report.peak_pressure == max(
+            g.peak_pressure for g in groups
+        )
+        assert tiered_report.mean_queue_depth == pytest.approx(
+            sum(g.mean_queue_depth for g in groups) / len(groups)
+        )
+        ledger = Counter()
+        for g in groups:
+            ledger.update(g.admission)
+        assert tiered_report.admission == dict(ledger)
+        last = groups[-1]
+        assert tiered_report.queue_capacity == last.queue_capacity
+        assert tiered_report.cache == last.cache
+        assert tiered_report.caches == last.caches
+        assert tiered_report.tuned == last.tuned
 
 
 class TestTelemetryExport:

@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.telemetry.stats import all_cache_sizes
+
+GOLDEN_CLI = (
+    Path(__file__).resolve().parent / "fixtures" / "golden_cli_digests.json"
+)
+GOLDEN_CLI_DIGESTS = json.loads(GOLDEN_CLI.read_text())
 
 
 def test_params_all(capsys):
@@ -266,6 +274,34 @@ class TestFleetServeCommand:
         data = json.loads(path.read_text())
         assert data["fleet_requests_total"]["type"] == "counter"
         assert data["fleet_device_utilization"]["type"] == "gauge"
+
+    def test_serve_gpus_reports_overload_drops(self, capsys):
+        """A fleet under an overload policy prints what its groups dropped."""
+        assert main(["serve", "--gpus", "4", "--workload", "overload",
+                     "--queue-capacity", "32"]) == 0
+        assert (
+            "\n  overload   : 0 shed, 3668 rejected, 0 cancelled of 6600 "
+            "offered (capacity 32, peak pressure 100%)\n"
+        ) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI_DIGESTS))
+def test_serve_stdout_matches_golden_digest(capsys, update_golden, command):
+    """The serve smoke reports print the bytes recorded in
+    ``tests/fixtures/golden_cli_digests.json``; ``pytest --update-golden``
+    re-records a digest after an intentional output change."""
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    if update_golden:
+        GOLDEN_CLI_DIGESTS[command] = digest
+        GOLDEN_CLI.write_text(
+            json.dumps(GOLDEN_CLI_DIGESTS, indent=2, sort_keys=True) + "\n"
+        )
+        pytest.skip(f"regenerated {GOLDEN_CLI.name}")
+    assert digest == GOLDEN_CLI_DIGESTS[command], (
+        f"`repro {command}` output drifted; if intentional, regenerate with "
+        "`pytest --update-golden`"
+    )
 
 
 class TestFleetMetricsCommand:
