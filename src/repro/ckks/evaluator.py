@@ -193,7 +193,9 @@ class Evaluator:
         ct0 = self.mod_switch_to_level(ct0, level)
         ct1 = self.mod_switch_to_level(ct1, level)
         a0, a1 = ct0.c0.to_ntt(), ct0.c1.to_ntt()
-        b0, b1 = ct1.c0.to_ntt(), ct1.c1.to_ntt()
+        # A square (``square``, the power-of-two steps of ``powers``) is
+        # transformed once.
+        b0, b1 = (a0, a1) if ct1 is ct0 else (ct1.c0.to_ntt(), ct1.c1.to_ntt())
         d0 = a0.multiply(b0).from_ntt()
         d1 = a0.multiply(b1).add(a1.multiply(b0)).from_ntt()
         d2 = a1.multiply(b1).from_ntt()

@@ -13,9 +13,10 @@ paper's discussion (Section 4.4):
   stack: one call moves an ``(L, ..., N)`` double-CRT tensor between the
   coefficient and evaluation domains.  Its engine follows from the degree
   and the moduli: sub-``2**31`` stacks run as exact float64 GEMMs -- one
-  ``N x N`` matmul per limb for small ``N`` (one-step), otherwise the
-  four-step split one limb's slab at a time -- and Barrett stacks run the
-  butterfly stages over ``(L, N)`` stacked twiddle tables.
+  ``N x N`` matmul per limb for small ``N`` (one-step), otherwise
+  :class:`GemmSteps`, a multi-step split with contractions of at most 32
+  over balanced residues, one limb at a time -- and Barrett stacks run
+  the butterfly stages over ``(L, N)`` stacked twiddle tables.
 * :func:`four_step_ntt` / :func:`multi_step_ntt` -- the matrix-multiplication
   formulations (four-step and the generalised "ten-step"/radix-16
   decomposition) that Neo maps onto tensor cores.  They operate on the
@@ -31,7 +32,7 @@ caches ``ntt_plans`` and ``ntt_stacks`` of :mod:`repro.telemetry.stats`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -99,6 +100,7 @@ class NttPlan:
         self._psi_inv_rev = inv_powers[rev]
         self._twist: Optional[np.ndarray] = None
         self._untwist: Optional[np.ndarray] = None
+        self._steps: dict = {}
         if self.native:
             self._psi_rev_shoup = _shoup_table(self._psi_rev, modulus)
             self._psi_inv_rev_shoup = _shoup_table(self._psi_inv_rev, modulus)
@@ -277,6 +279,170 @@ class NttPlan:
             return modarith.shoup_mul_mod(a, w, w_shoup, _U64(self.modulus))
         return modarith.mul_mod(a, w, self.modulus)
 
+    def gemm_steps(self, inverse: bool) -> "GemmSteps":
+        """This limb's :class:`GemmSteps` tables, built on first use."""
+        if inverse not in self._steps:
+            self._steps[inverse] = GemmSteps(self, inverse)
+        return self._steps[inverse]
+
+
+def _pow_table(base: int, length: int, q: int) -> np.ndarray:
+    """``base**i mod q`` for ``i < length`` by vectorised doubling."""
+    t = np.empty(length, dtype=_U64)
+    t[0] = 1
+    filled = 1
+    while filled < length:
+        step = min(filled, length - filled)
+        t[filled : filled + step] = t[:step] * _U64(pow(base, filled, q)) % _U64(q)
+        filled += step
+    return t
+
+
+def _radix_factors(degree: int) -> tuple:
+    """The fewest (at least two) power-of-two factors <= 32 of ``degree``,
+    as even as possible, wider ones after the first: ``2**13 -> (16, 32,
+    16)``, ``2**14 -> (16, 32, 32)``, ``2**16 -> (16, 16, 16, 16)``."""
+    bits = degree.bit_length() - 1
+    steps = max(2, -(-bits // 5))
+    exps = [bits // steps + (0 < i <= bits % steps) for i in range(steps)]
+    return tuple(1 << e for e in exps)
+
+
+class GemmSteps:
+    """One limb's multi-step GEMM NTT in one direction (Neo Section 4.4).
+
+    A limb's ``(R, N)`` rows are viewed as ``(R, n_1, ..., n_s)`` over
+    :func:`_radix_factors`.  Forward step ``i`` contracts axis ``i`` with
+    an ``n_i x n_i`` DFT matrix (rows bit-reversed), then multiplies by the
+    twiddles coupling ``k_i`` to the lower input digits.  The ``psi`` twist
+    rides in the first matrix and twiddle; the last twiddle folds into the
+    last matrix, one per ``k_{s-1}``.  The inverse runs the transposed
+    constants over ``psi**-1`` in reverse order, ``N**-1`` in the first.
+
+    Residues travel as *balanced* float64 values, reduced by :func:`_reduce`
+    to ``|r| <= (q-1)/2 + 2`` (exactly ``(q-1)/2`` for the input).  A
+    product is exact while the largest row sum of ``|W|`` in its table
+    (``max |T|`` for a twiddle) times its input bound stays below ``2**53 -
+    4q``.  A limb whose tables all meet that takes one float64 product per
+    step; otherwise every constant splits into two balanced planes ``hi
+    2**h + lo`` that do, recombined as ``reduce(hi) 2**h + lo``.
+    """
+
+    def __init__(self, plan: NttPlan, inverse: bool):
+        n, q = plan.degree, plan.modulus
+        self.factors = fs = _radix_factors(n)
+        self.q = float(q)
+        # psi**e for e < 2N: every constant is a power of psi.
+        pw = _pow_table(plan.psi_inv if inverse else plan.psi, 2 * n, q)
+        ops, below = [], n
+        for i, ni in enumerate(fs):
+            below //= ni  # span of the lower digits
+            k, j = _bit_reverse_permutation(ni), np.arange(below)
+            e = np.outer(k, np.arange(ni)) * (2 * n // ni)
+            t = np.outer(k, j) * (2 * n // (below * ni))
+            if i == 0:  # the psi twist on the input digits
+                e, t = e + below * np.arange(ni), t + j
+            ops += [("gemm", i, pw[e % (2 * n)]), ("twiddle", i, pw[t % (2 * n)])]
+        # The last digit's twiddle is trivial; its matrix absorbs the one
+        # before it: G[m][k, j] = A_s[k, j] T_{s-1}[m, j].
+        (_, _, tw), (_, _, last), _ = ops[-3:]
+        del ops[-3:]
+        fold = last[None] * tw[:, None, :] % _U64(q)
+        # Each op names the digit its (blocks, digit, rest) view puts in the
+        # middle: a fold batches over the digit before the one it contracts.
+        if inverse:
+            ops[0] = ("gemm", 0, ops[0][2] * _U64(plan.degree_inv) % _U64(q))
+            ops = [("fold", len(fs) - 2, fold)] + [
+                (kind, i, c.T if kind == "gemm" else c) for kind, i, c in ops[::-1]
+            ]
+        else:
+            ops.append(("fold", len(fs) - 2, fold.transpose(0, 2, 1)))
+        h = (q - 1) // 2  # balanced: [0, q) -> [-h, h]
+        ops = [(kind, i, ((c.astype(np.int64) + h) % q - h,)) for kind, i, c in ops]
+        self.shift = h.bit_length() + 1 >> 1
+        self.scale = float(1 << self.shift)
+        self.planes = 1
+        if not self._exact(ops, q):
+            self.planes = 2
+            ops = [(kind, i, _split(c, self.shift)) for kind, i, (c,) in ops]
+            if not self._exact(ops, q):
+                raise ValueError(f"no exact two-plane GEMM NTT for q={q}")
+        self.ops = [
+            (kind, math.prod(fs[:i]), fs[i],
+             tuple(np.ascontiguousarray(p, float) for p in planes))
+            for kind, i, planes in ops
+        ]
+
+    def _exact(self, ops, q: int) -> bool:
+        """Every product's float64 sums stay below ``2**53 - 4q``."""
+        limit, bound = (1 << 53) - 4 * q, (q - 1) // 2  # exactly balanced input
+        for kind, _, planes in ops:
+            axis = {"gemm": -1, "fold": -2}.get(kind)  # a twiddle contracts none
+            sums = [
+                int((abs(p) if axis is None else abs(p).sum(axis)).max()) * bound
+                for p in planes
+            ]
+            if len(planes) == 2:  # reduce(hi) 2**h + lo
+                sums.append(((q - 1) // 2 + 2 << self.shift) + sums[1])
+            if max(sums) >= limit:
+                return False
+            bound = (q - 1) // 2 + 2
+        return True
+
+    def run(self, src: np.ndarray, dst: np.ndarray, work: np.ndarray) -> None:
+        """Transform one limb's ``(R, N)`` residues `src` into `dst`, using
+        four float64 `work` rows of at least ``src.size`` elements."""
+        rows = src.shape[0]
+        x, y, lo, tmp = (w[: src.size] for w in work)
+        np.copyto(x.reshape(src.shape), src, casting="unsafe")
+        _reduce(x, self.q, tmp)
+        for kind, blocks, digit, planes in self.ops:
+            shape = (rows * blocks, digit, -1)
+            _product(kind, planes[0], x.reshape(shape), y.reshape(shape))
+            if len(planes) == 2:
+                _product(kind, planes[1], x.reshape(shape), lo.reshape(shape))
+                _reduce(y, self.q, tmp)
+                y *= self.scale
+                y += lo
+            _reduce(y, self.q, tmp)
+            x, y = y, x
+        # Balanced -> [0, q): add q where the int64 sign bit is set.
+        out = dst.view(np.int64)
+        np.copyto(out, x.reshape(dst.shape), casting="unsafe")
+        neg = tmp.view(np.int64).reshape(dst.shape)
+        np.right_shift(out, 63, out=neg)
+        neg &= int(self.q)
+        out += neg
+
+
+def _product(kind: str, c: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """One plane of a :class:`GemmSteps` op on the 3-D view `x` into `out`."""
+    if kind == "fold":  # one matrix per middle digit, contracting the last
+        np.matmul(x.transpose(1, 0, 2), c, out=out.transpose(1, 0, 2))
+    elif kind == "gemm":
+        np.matmul(c, x, out=out)
+    else:
+        np.multiply(x, c, out=out)
+
+
+def _reduce(y: np.ndarray, q: float, tmp: np.ndarray) -> np.ndarray:
+    """``y - q rint(y fl(1/q))`` in place.  For ``|y| < 2**53 - 4q`` the
+    quotient is within ``2/q`` of ``y/q``, so ``rint`` misses by at most one,
+    only at a half: ``|r| <= (q-1)/2 + 2``, and ``k q`` and ``y - k q`` stay
+    exact."""
+    np.multiply(y, 1.0 / q, out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= q
+    y -= tmp
+    return y
+
+
+def _split(c: np.ndarray, shift: int):
+    """Balanced planes ``(hi, lo)`` with ``c = hi 2**shift + lo`` and
+    ``|lo| <= 2**(shift-1)``."""
+    hi = (c + (1 << shift - 1)) >> shift
+    return hi, c - (hi << shift)
+
 
 class NttStack:
     """Batched negacyclic NTT across a whole RNS limb stack.
@@ -289,58 +455,48 @@ class NttStack:
       transform is ONE exact float64 matmul per limb against a constant
       ``N x N`` matrix with the ``psi`` twist and the bit-reversal folded
       in (the ``factors=(N,)`` case of :func:`multi_step_ntt`).
-    * ``"four-step"`` -- every other sub-``2**31`` stack: the paper's
-      four-step GEMM NTT (Section 4.4), two constant
-      ``sqrt(N) x sqrt(N)`` matrices around an element-wise twiddle, run
-      one limb's ``(batch, a, b)`` slab at a time against that limb's scalar
-      modulus (see :meth:`_reduce`) so temporaries stay cache-sized.
+    * ``"multi-step"`` -- every other sub-``2**31`` stack: the paper's
+      multi-step GEMM NTT (Section 4.4) with steps of at most 32, one limb
+      at a time through the :class:`GemmSteps` tables its cached
+      :class:`NttPlan` builds once per ``(N, q)``; one float64 product per
+      step where the tables allow it (25-bit limbs), two balanced constant
+      planes otherwise.
     * ``"butterfly"`` -- Barrett moduli (``>= 2**31``), whose residues
       overflow the float64 ``2**53`` bound: stacked ``(L, N)`` twiddle
       tables drive one sequence of vectorised butterfly stages.
     * ``"object"`` -- a limb on the exact object backend: a per-limb loop
       over the underlying plans (the oracle path).
 
-    The GEMM engines run exact float64 BLAS matmuls over 16-bit operand
-    splits -- the CPU analogue of Neo's tensor-core MMA path -- and are
-    bit-identical to the butterfly stages.
+    The GEMM engines run exact float64 BLAS matmuls -- the CPU analogue of
+    Neo's tensor-core MMA path -- and are bit-identical to the butterfly
+    stages.
     """
 
     #: Largest degree run as a one-step ``N x N`` matmul.  Above it the
-    #: O(N^2) matmul loses to the O(N^1.5) four-step split; below it the
-    #: four-step's per-limb loop (~25 numpy calls a limb) costs more than
+    #: O(N^2) matmul loses to the multi-step split; below it the
+    #: multi-step's per-limb loop (~30 numpy calls a limb) costs more than
     #: the whole matmul.  Forward times in microseconds, median of 41
     #: interleaved runs on ``(12, 3, N)`` and ``(12, N)`` stacks of 25-bit
-    #: primes (numpy 2.4, one OpenBLAS thread, 2-core Xeon VM); inverses
-    #: are within ~2x of these and cross over at the same degree:
+    #: primes (numpy 2.4, one OpenBLAS thread, 2-core Xeon VM):
     #:
-    #: ====  ========  =========  =========  ===============  ================
-    #: N     one-step  four-step  butterfly  one-step (12,N)  four-step (12,N)
-    #: ====  ========  =========  =========  ===============  ================
-    #: 8     18        321        118        32               552
-    #: 32    33        334        258        46               589
-    #: 64    59        368        427        42               349
-    #: 128   187       436        777        130              371
-    #: 256   1209      631        1647       581              411
-    #: 2048  --        2353       14812      --               1034
-    #: ====  ========  =========  =========  ===============  ================
+    #: ====  ========  ==========  =========  ===============  =================
+    #: N     one-step  multi-step  butterfly  one-step (12,N)  multi-step (12,N)
+    #: ====  ========  ==========  =========  ===============  =================
+    #: 32    34        255         354        23               248
+    #: 64    60        302         646        41               276
+    #: 128   243       324         1016       154              313
+    #: 256   1491      525         2149       786              380
+    #: 512   12935     779         4137       3084             611
+    #: ====  ========  ==========  =========  ===============  =================
     _ONE_STEP_MAX_DEGREE = 1 << 7
-
-    #: Largest matrix side of the four-step split whose three-GEMM
-    #: (Karatsuba) form stays exact: ``k * 2**34 < 2**53`` for the float64
-    #: cross-term sums, and ``2**62 + k * (2**48 + 2**32) < 2**64`` for the
-    #: uint64 recombination -- every degree up to ``2**28``.
-    _FOUR_STEP_MAX_SIDE = 1 << 14
 
     def __init__(self, degree: int, moduli: Sequence[int]):
         self.degree = degree
         self.moduli = tuple(int(q) for q in moduli)
         self.plans: List[NttPlan] = [get_plan(degree, q) for q in self.moduli]
         self.native = all(plan.native for plan in self.plans)
-        self._op32 = self.native and all(q < 2**31 for q in self.moduli)
         self.engine = self._choose_engine()
         self._one_step_consts = None
-        self._gemm_fwd = None
-        self._gemm_inv = None
         if self.native:
             self._q = np.array(self.moduli, dtype=_U64)
             self._psi_rev = np.stack([p._psi_rev for p in self.plans])
@@ -358,7 +514,7 @@ class NttStack:
         """The fastest engine whose exactness bound the moduli satisfy."""
         if not self.native:
             return "object"
-        if not self._op32:
+        if max(self.moduli) >= 2**31:
             return "butterfly"
         n = self.degree
         if (
@@ -366,9 +522,7 @@ class NttStack:
             and n * ((1 << 16) - 1) * (max(self.moduli) - 1) < 1 << 53
         ):
             return "one-step"
-        if n >> ((n.bit_length() - 1) // 2) <= self._FOUR_STEP_MAX_SIDE:
-            return "four-step"
-        return "butterfly"
+        return "multi-step"
 
     def _check(self, arr: np.ndarray):
         if arr.ndim < 2 or arr.shape[0] != len(self.moduli):
@@ -408,8 +562,8 @@ class NttStack:
             )
         if self.engine == "one-step":
             return self._one_step(stack, inverse=False)
-        if self.engine == "four-step":
-            return self._gemm_transform(stack, inverse=False)
+        if self.engine == "multi-step":
+            return self._multi_step(stack, inverse=False)
         return self._blocked(stack, self._forward_native)
 
     def _blocked(self, stack: np.ndarray, kernel) -> np.ndarray:
@@ -445,7 +599,7 @@ class NttStack:
             exps = np.outer(np.arange(n), 2 * _bit_reverse_permutation(n) + 1)
             mat = np.stack(
                 [
-                    self._pow_table(plan.psi, 2 * n, plan.modulus)[exps % (2 * n)]
+                    _pow_table(plan.psi, 2 * n, plan.modulus)[exps % (2 * n)]
                     for plan in self.plans
                 ]
             ).astype(np.float64)
@@ -485,168 +639,16 @@ class NttStack:
             r %= q
         return r.reshape(stack.shape)
 
-    # -- four-step GEMM path (Neo Section 4.4 on float64 BLAS) ---------------
+    # -- multi-step GEMM path (Neo Section 4.4 on float64 BLAS) --------------
 
-    @staticmethod
-    def _pow_table(base: int, length: int, q: int) -> np.ndarray:
-        """``base**i mod q`` for ``i < length`` by vectorised doubling."""
-        t = np.empty(length, dtype=_U64)
-        t[0] = 1
-        filled = 1
-        while filled < length:
-            step = min(filled, length - filled)
-            mult = _U64(pow(base, filled, q))
-            t[filled : filled + step] = t[:step] * mult % _U64(q)
-            filled += step
-        return t
-
-    @staticmethod
-    def _split16(w: np.ndarray):
-        """16-bit operand split as float64 triplet ``(hi, lo, hi+lo)``."""
-        hi = (w >> _U64(16)).astype(np.float64)
-        lo = (w & _U64(0xFFFF)).astype(np.float64)
-        return hi, lo, hi + lo
-
-    def _gemm_tables(self, inverse: bool):
-        """Constant matrices of the four-step split, twist/bit-rev folded in.
-
-        Forward maps ``x.reshape(a, b)`` through a left ``(a, a)`` matmul,
-        an element-wise twiddle product ``x * tw mod q`` (below ``2**62``
-        for these sub-``2**31`` moduli), and a right ``(b, b)`` matmul so the
-        flat result *is* the butterfly output: the negacyclic ``psi`` twist
-        rides in the matrix entries and the bit-reversal permutes the
-        constant rows/columns instead of the data.  The inverse mirrors it
-        with ``omega**-1`` powers and ``N**-1 psi**-j`` folded in, right
-        matmul first.  Each limb keeps its own ``(q, 2**32 mod q, first
-        split, twiddle, second split)``, matrices in the order they apply.
-        """
-        cached = self._gemm_inv if inverse else self._gemm_fwd
-        if cached is not None:
-            return cached
-        n = self.degree
-        half = (n.bit_length() - 1) // 2
-        a, b = 1 << half, n >> half
-        rev_a = _bit_reverse_permutation(a)
-        rev_b = _bit_reverse_permutation(b)
-        j1 = np.arange(a)
-        j2 = np.arange(b)
-        limbs = []
-        for plan in self.plans:
-            q = plan.modulus
-            omega = plan.psi * plan.psi % q
-            if inverse:
-                omega = modarith.inv_mod(omega, q)
-            pw = self._pow_table(omega, n, q)
-            psi = self._pow_table(
-                plan.psi_inv if inverse else plan.psi, max(a, b) * b + 1, q
-            )
-            if inverse:
-                # WAI[j1, i1] = psi^{-j1 b} w^{b j1 rev_a(i1)};  left factor
-                mat_l = (
-                    psi[j1 * b, None] * pw[(b * np.outer(j1, rev_a[j1])) % n]
-                ) % _U64(q)
-                # TWI[i1, j2] = w^{j2 rev_a(i1)} psi^{-j2} / N
-                n_inv = _U64(plan.degree_inv)
-                tw_q = (
-                    pw[np.outer(rev_a[j1], j2) % n] * psi[j2][None, :] % _U64(q)
-                ) * n_inv % _U64(q)
-                # WBI[i2, j2] = w^{a rev_b(i2) j2}
-                mat_r = pw[(a * np.outer(rev_b[j2], j2)) % n]
-            else:
-                # WA[r, j1] = psi^{j1 b} w^{b j1 rev_a(r)};  rows r = rev(k1)
-                mat_l = (
-                    psi[j1 * b][None, :] * pw[(b * np.outer(rev_a[j1], j1)) % n]
-                ) % _U64(q)
-                # TW[r, j2] = psi^{j2} w^{j2 rev_a(r)}
-                tw_q = psi[j2][None, :] * pw[np.outer(rev_a[j1], j2) % n] % _U64(q)
-                # WB[j2, c] = w^{a j2 rev_b(c)};  cols c = rev(k2)
-                mat_r = pw[(a * np.outer(j2, rev_b[j2])) % n]
-            pair = (mat_r, mat_l) if inverse else (mat_l, mat_r)
-            first, second = map(self._split16, pair)
-            limbs.append((_U64(q), _U64((1 << 32) % q), first, tw_q, second))
-        # With n-term contractions of unsplit data against the 2**16-weight
-        # half of the matrix, float64 sums stay exact iff
-        # ``n * (q-1) * (2**16 - 1) < 2**53`` -- then two GEMMs suffice and
-        # only the constant matrix is split.  Otherwise the data splits too
-        # (three GEMMs, Karatsuba).
-        q_max = max(self.moduli)
-        tables = {
-            "a": a,
-            "b": b,
-            "limbs": limbs,
-            "left_two": a * (q_max - 1) * ((1 << 16) - 1) < 1 << 53,
-            "right_two": b * (q_max - 1) * ((1 << 16) - 1) < 1 << 53,
-        }
-        if inverse:
-            self._gemm_inv = tables
-        else:
-            self._gemm_fwd = tables
-        return tables
-
-    @staticmethod
-    def _reduce(x: np.ndarray, q: np.uint64) -> np.ndarray:
-        """``x mod q`` in place as ``x - (x // q) q`` on an engine-owned array:
-        numpy divides by a ``uint64`` scalar through a precomputed
-        multiply-high, where ``%`` issues one hardware division per element.
-        """
-        d = x // q
-        d *= q
-        x -= d
-        return x
-
-    def _gemm_mod(self, data: np.ndarray, w, q, c32, left: bool, two: bool):
-        """Exact modular matmul via float64 GEMMs over 16-bit matrix splits.
-
-        `data` is one limb's ``(batch, a, b)`` slab, `q` and `c32` its
-        ``uint64`` modulus and ``2**32 mod q``; the right matmul is a single
-        ``(batch a, b) @ (b, b)`` GEMM.  When `two` (small moduli), unsplit
-        data against each matrix half stays exact in float64: two GEMMs
-        recombined as ``(hh mod q) 2**16 + ll``.  Otherwise the data splits
-        too and a Karatsuba third GEMM recovers the cross terms; either way
-        the uint64 recombination stays under ``2**63`` before its single
-        reduction.
-        """
-        shape = data.shape
-        if not left:
-            data = data.reshape(-1, shape[-1])
-        wh, wl, ws = w
-
-        def exact(f):  # integral float64 sums below 2**53
-            return f.astype(np.int64).view(_U64)  # the vectorised cast
-
-        if two:
-            df = data.astype(np.float64)
-            hh = (wh @ df) if left else (df @ wh)
-            ll = (wl @ df) if left else (df @ wl)
-            r = self._reduce(exact(hh), q) << _U64(16)
-        else:
-            dh = (data >> _U64(16)).astype(np.float64)
-            dl = (data & _U64(0xFFFF)).astype(np.float64)
-            if left:
-                hh = wh @ dh
-                ll = wl @ dl
-                mid = ws @ (dh + dl) - hh - ll
-            else:
-                hh = dh @ wh
-                ll = dl @ wl
-                mid = (dh + dl) @ ws - hh - ll
-            r = self._reduce(exact(hh), q) * c32
-            r += exact(mid) << _U64(16)
-        r += exact(ll)
-        return self._reduce(r, q).reshape(shape)
-
-    def _gemm_transform(self, stack: np.ndarray, inverse: bool) -> np.ndarray:
-        """Four-step transform one limb at a time into one output stack."""
-        t = self._gemm_tables(inverse)
-        left_two, right_two = t["left_two"], t["right_two"]
-        two = (right_two, left_two) if inverse else (left_two, right_two)
-        x = stack.reshape(len(self.moduli), -1, t["a"], t["b"])
+    def _multi_step(self, stack: np.ndarray, inverse: bool) -> np.ndarray:
+        """Each limb through its plan's :class:`GemmSteps`, one limb at a
+        time so the float64 work rows stay cache-sized and shared."""
+        x = stack.reshape(len(self.moduli), -1, self.degree)
         out = np.empty(x.shape, dtype=_U64)
-        for src, dst, (q, c32, first, tw, second) in zip(x, out, t["limbs"]):
-            y = self._gemm_mod(src, first, q, c32, left=not inverse, two=two[0])
-            y *= tw
-            y = self._reduce(y, q)
-            dst[...] = self._gemm_mod(y, second, q, c32, left=inverse, two=two[1])
+        work = np.empty((4, x[0].size))
+        for plan, src, dst in zip(self.plans, x, out):
+            plan.gemm_steps(inverse).run(src, dst, work)
         return out.reshape(stack.shape)
 
     def _forward_native(self, a: np.ndarray) -> np.ndarray:
@@ -661,7 +663,7 @@ class NttStack:
             hi = blocks[..., t:]
             w = self._cols(self._psi_rev, m, 2 * m, blocks.ndim)
             w_shoup = self._cols(self._psi_rev_shoup, m, 2 * m, blocks.ndim)
-            v = modarith.shoup_mul_mod(hi, w, w_shoup, q, operand32=self._op32)
+            v = modarith.shoup_mul_mod(hi, w, w_shoup, q)
             s = lo + v
             d = lo + (q - v)
             blocks[..., :t] = np.where(s >= q, s - q, s)
@@ -678,8 +680,8 @@ class NttStack:
             )
         if self.engine == "one-step":
             return self._one_step(stack, inverse=True)
-        if self.engine == "four-step":
-            return self._gemm_transform(stack, inverse=True)
+        if self.engine == "multi-step":
+            return self._multi_step(stack, inverse=True)
         return self._blocked(stack, self._inverse_native)
 
     def _inverse_native(self, a: np.ndarray) -> np.ndarray:
@@ -698,9 +700,7 @@ class NttStack:
             w = self._cols(self._psi_inv_rev, h, 2 * h, blocks.ndim)
             w_shoup = self._cols(self._psi_inv_rev_shoup, h, 2 * h, blocks.ndim)
             blocks[..., :t] = np.where(s >= q, s - q, s)
-            blocks[..., t:] = modarith.shoup_mul_mod(
-                diff, w, w_shoup, q, operand32=self._op32
-            )
+            blocks[..., t:] = modarith.shoup_mul_mod(diff, w, w_shoup, q)
             t *= 2
             m = h
         L = len(self.moduli)
@@ -710,7 +710,6 @@ class NttStack:
             self._n_inv.reshape(col),
             self._n_inv_shoup.reshape(col),
             self._q_col(a.ndim),
-            operand32=self._op32,
         )
 
 

@@ -59,7 +59,7 @@ from ..telemetry.tracing import Tracer, active_tracer
 from .overload import OverloadPolicy
 from .policies import AdmissionPolicy
 from .request import Request
-from .server import NeoServiceModel, Server, ServingReport
+from .server import NeoServiceModel, Server, ServingReport, record_drain_gauges
 
 #: Modeled Galois-key counts per application: the rotation sets their
 #: schedules hoist (bootstrap needs the CoeffToSlot/SlotToCoeff ladder,
@@ -926,3 +926,7 @@ class Fleet:
         registry.gauge(
             "fleet_makespan_seconds", "Simulated makespan of the fleet drain"
         ).set(report.makespan_s)
+        record_drain_gauges(
+            registry, report,
+            self.overload is not None or report.offered != report.served,
+        )

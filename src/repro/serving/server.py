@@ -527,6 +527,31 @@ class ServingReport:
         return "\n".join(lines)
 
 
+def record_drain_gauges(
+    registry: MetricsRegistry, report: ServingReport, overloaded: bool
+) -> None:
+    """Set the ``serving_*`` gauges of one whole drain, the queue-pressure
+    peak only when `overloaded`.  A fleet sets them again from its merged
+    report, so they describe the fleet rather than its last group."""
+    registry.gauge(
+        "serving_queue_depth_peak", "Peak admission-queue depth",
+    ).set(report.max_queue_depth)
+    registry.gauge(
+        "serving_queue_depth_mean", "Time-weighted mean queue depth",
+    ).set(report.mean_queue_depth)
+    registry.gauge(
+        "serving_makespan_seconds", "Simulated makespan of the last drain",
+    ).set(report.makespan_s)
+    registry.gauge(
+        "serving_slo_attainment", "Fraction of requests meeting their SLO",
+    ).set(report.slo_attainment)
+    if overloaded:
+        registry.gauge(
+            "serving_queue_pressure_peak",
+            "Peak admission-queue fill fraction in [0, 1]",
+        ).set(report.peak_pressure)
+
+
 @dataclass(frozen=True)
 class ServerStats:
     """Point-in-time server counters (live between submit and drain)."""
@@ -1010,20 +1035,10 @@ class Server:
             buckets=QUEUE_DEPTH_BUCKETS,
         )
         depth_hist.observe_many([depth for _, depth in queue.depth_samples()])
-        registry.gauge(
-            "serving_queue_depth_peak", "Peak admission-queue depth",
-        ).set(report.max_queue_depth)
-        registry.gauge(
-            "serving_queue_depth_mean", "Time-weighted mean queue depth",
-        ).set(report.mean_queue_depth)
-        registry.gauge(
-            "serving_makespan_seconds", "Simulated makespan of the last drain",
-        ).set(report.makespan_s)
-        registry.gauge(
-            "serving_slo_attainment", "Fraction of requests meeting their SLO",
-        ).set(report.slo_attainment)
+        overloaded = self.overload is not None or report.offered != report.served
+        record_drain_gauges(registry, report, overloaded)
 
-        if self.overload is not None or report.offered != report.served:
+        if overloaded:
             shed_total = registry.counter(
                 "serving_requests_shed_total",
                 "Requests shed by overload policy, by service tier",
@@ -1049,10 +1064,6 @@ class Server:
                     by_tier[request.tier] = by_tier.get(request.tier, 0) + 1
                 for tier, count in by_tier.items():
                     counter.labels(tier=tier).inc(count)
-            registry.gauge(
-                "serving_queue_pressure_peak",
-                "Peak admission-queue fill fraction in [0, 1]",
-            ).set(report.peak_pressure)
 
         hits = registry.gauge(
             "cache_hits", "Cache hits, per cache surface", labelnames=("cache",)

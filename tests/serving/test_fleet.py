@@ -357,6 +357,40 @@ class TestTelemetryExport:
             "fleet_makespan_seconds",
         } <= names
 
+    def test_serving_gauges_describe_the_whole_fleet(self, registry_on):
+        """Each group's drain sets the ``serving_*`` gauges; the fleet sets
+        them again from its merged report, so the last group does not win."""
+        fleet = Fleet(gpus=4)
+        fleet.submit_many(
+            synthesize_arrivals(parse_workload_spec("overload"), seed=0)
+        )
+        report = fleet.drain()
+        snap = registry_on.snapshot()
+
+        def gauge(name):
+            (series,) = snap[name]["series"]
+            return series["value"]
+
+        assert gauge("serving_makespan_seconds") == gauge("fleet_makespan_seconds")
+        assert gauge("serving_makespan_seconds") == report.makespan_s
+        assert gauge("serving_queue_depth_peak") == report.max_queue_depth
+        assert gauge("serving_queue_depth_mean") == report.mean_queue_depth
+        assert gauge("serving_slo_attainment") == report.slo_attainment
+        last = report.devices[-1].report
+        assert last.makespan_s != report.makespan_s
+
+    def test_queue_pressure_gauge_is_the_fleet_peak(self, registry_on):
+        """Under an overload policy the pressure peak is the fleet's too:
+        on this trace the last group peaks at 0.4025 and the fleet at 0.455."""
+        fleet = Fleet(gpus=4, overload=OverloadPolicy(queue_capacity=400))
+        fleet.submit_many(
+            synthesize_arrivals(parse_workload_spec("overload"), seed=2)
+        )
+        report = fleet.drain()
+        (series,) = registry_on.snapshot()["serving_queue_pressure_peak"]["series"]
+        assert series["value"] == report.peak_pressure
+        assert report.devices[-1].report.peak_pressure < report.peak_pressure
+
     def test_interconnect_counter_labelled_by_kernel(self, registry_on):
         fleet = Fleet(gpus=4, tensor_parallel=2, max_wait_s=5.0)
         fleet.submit_many(smoke_requests())
