@@ -4,15 +4,16 @@ Section 3.4 of the paper argues that a 36-bit modular GEMM needs only
 **3** FP64 plane products (bit-slicing B into 12-bit planes, all partial
 sums below 2**53) versus **25** INT8 plane products -- and 48-bit needs
 4 vs 36.  This example runs both decompositions numerically, checks them
-bit-exact against integer GEMM, and then drives a radix-16 negacyclic NTT
-through the FP64 tensor-core hook.
+bit-exact against integer GEMM, and then runs the library's NTT at
+N = 2**16 over a 25-bit prime: its multi-step engine is the paper's
+16 x 16 x 16 x 16 radix-16 factorisation (Section 4.4), one exact float64
+GEMM per step.
 
 Run:  python examples/tensor_core_gemm.py
 """
 
 import numpy as np
 
-from repro.core.radix16_ntt import NeoNtt
 from repro.gpu.tensorcore import (
     fp64_gemm_mod,
     int8_gemm_mod,
@@ -20,6 +21,7 @@ from repro.gpu.tensorcore import (
     plan_int8_split,
     reference_gemm_mod,
 )
+from repro.math.ntt import get_plan, get_stack
 from repro.math.primes import ntt_primes
 
 
@@ -46,18 +48,20 @@ def demonstrate_gemm(wordsize):
 
 
 def demonstrate_ntt():
-    degree = 256
-    q = ntt_primes(36, degree, 1)[0]
+    degree = 1 << 16
+    q = ntt_primes(25, degree, 1)[0]
+    stack = get_stack(degree, [q])  # the transform the CKKS evaluator runs
+    plan = get_plan(degree, q)  # its limb's butterflies and GEMM tables
+    steps = plan.gemm_steps(False)
     rng = np.random.default_rng(0)
-    coeffs = rng.integers(0, int(q), size=degree, dtype=np.uint64).astype(object)
-    tcu_ntt = NeoNtt(degree, q, use_tcu=True)  # GEMM stages on FP64 emulation
-    ref_ntt = NeoNtt(degree, q, use_tcu=False)  # exact integer GEMM stages
-    spectrum = tcu_ntt.forward(coeffs)
-    assert (spectrum == ref_ntt.forward(coeffs)).all()
-    assert (tcu_ntt.inverse(spectrum).astype(object) == coeffs).all()
+    coeffs = rng.integers(0, q, size=(1, degree), dtype=np.uint64)
+    spectrum = stack.forward(coeffs)
+    assert (spectrum[0] == plan.forward(coeffs[0].copy())).all()
+    assert (stack.inverse(spectrum) == coeffs).all()
     print(
-        f"radix-16 NTT (N={degree}, 36-bit prime): factors {tcu_ntt.factors}, "
-        "forward/inverse bit-exact through the FP64 tensor-core emulation"
+        f"NTT (N=2^16, 25-bit prime): engine {stack.engine}, factors "
+        f"{steps.factors}, {steps.planes} float64 plane(s) per step -- "
+        "bit-exact against the butterflies, and the inverse round-trips"
     )
 
 

@@ -3,13 +3,15 @@
 A reproduction of *"Neo: Towards Efficient Fully Homomorphic Encryption
 Acceleration using Tensor Core"* (ISCA 2025) as a pure-Python library:
 
-* :mod:`repro.math` -- modular arithmetic, NTTs, RNS, ring polynomials.
+* :mod:`repro.math` -- modular arithmetic, NTTs, RNS, ring polynomials, and
+  the functional GEMM kernels (BConv, IP, multi-step NTT).
 * :mod:`repro.ckks` -- a functional CKKS implementation (encode, encrypt,
   evaluate) with both Hybrid and KLSS key switching.
 * :mod:`repro.gpu` -- an A100 device model plus bit-exact numerical
   emulations of the FP64/INT8 tensor-core GEMM decompositions.
-* :mod:`repro.core` -- Neo's contribution: BConv/IP as GEMMs, the radix-16
-  NTT, the kernel-mapping policy, and the end-to-end performance model.
+* :mod:`repro.core` -- Neo's contribution, priced: the cost of BConv/IP as
+  GEMMs and of the radix-16 NTT, the kernel-mapping policy, and the
+  end-to-end performance model.
 * :mod:`repro.baselines` -- TensorFHE, HEonGPU and CPU comparators.
 * :mod:`repro.apps` -- PackBootstrap, HELR and ResNet-20/32/56 workloads.
 * :mod:`repro.analysis` -- the paper's analytic tables and figures.

@@ -1,6 +1,6 @@
-"""Neo core: GEMM-form kernels, mapping policy, pipelines, NeoContext."""
+"""Neo core: kernel cost model, mapping policy, pipelines, NeoContext."""
 
-from .ablation import ABLATION_STEPS, ablation_configs, ablation_labels
+from .ablation import ABLATION_STEPS
 from .autotuner import (
     BUDGETS,
     MODEL_VERSION,
@@ -14,8 +14,8 @@ from .autotuner import (
     tune_app,
     tune_keyswitch,
 )
-from .bconv_matmul import NeoBConv, bconv_cost, reference_bconv
-from .ip_matmul import NeoInnerProduct, ip_cost, reference_inner_product
+from .bconv_matmul import bconv_cost
+from .ip_matmul import ip_cost
 from .mapping import (
     CUDA_ONLY_KERNELS,
     IP_TCU_THRESHOLD,
@@ -41,7 +41,7 @@ from .profiling import (
     profile_application,
     profile_schedule,
 )
-from .radix16_ntt import NeoNtt, ntt_cost, ntt_gemm_macs, radix16_factors
+from .radix16_ntt import ntt_cost, ntt_gemm_macs, radix16_factors
 from .streams import ScheduleResult, StreamScheduler
 from .trace_cache import GLOBAL_TRACE_CACHE, CacheStats, TraceCache
 
@@ -60,10 +60,7 @@ __all__ = [
     "HEONGPU_CONFIG",
     "IP_TCU_THRESHOLD",
     "NEO_CONFIG",
-    "NeoBConv",
     "NeoContext",
-    "NeoInnerProduct",
-    "NeoNtt",
     "OpProfile",
     "OperationPipeline",
     "PipelineConfig",
@@ -72,8 +69,6 @@ __all__ = [
     "TENSORFHE_CONFIG",
     "TraceCache",
     "TuningResult",
-    "ablation_configs",
-    "ablation_labels",
     "best_configuration",
     "default_tuning_store",
     "hybrid_vs_best_klss",
@@ -92,6 +87,4 @@ __all__ = [
     "profile_application",
     "profile_schedule",
     "radix16_factors",
-    "reference_bconv",
-    "reference_inner_product",
 ]

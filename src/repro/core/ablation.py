@@ -15,7 +15,7 @@ The final step equals :data:`~repro.core.pipeline.NEO_CONFIG`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .pipeline import NEO_CONFIG, TENSORFHE_CONFIG, PipelineConfig
 
@@ -46,11 +46,3 @@ ABLATION_STEPS: Tuple[Tuple[str, PipelineConfig], ...] = (
     ),
     ("+FP64 TCU", NEO_CONFIG),
 )
-
-
-def ablation_labels() -> List[str]:
-    return [label for label, _ in ABLATION_STEPS]
-
-
-def ablation_configs() -> Dict[str, PipelineConfig]:
-    return dict(ABLATION_STEPS)

@@ -1,4 +1,4 @@
-"""BConv as matrix multiplication (the paper's Algorithm 2 + Fig. 6).
+"""Cost model of BConv as matrix multiplication (Algorithm 2 + Fig. 6).
 
 The original BConv (Algorithm 1) reads every input coefficient ``alpha'``
 times.  Neo instead multiplies each limb by its ``q_hat_inv`` factor,
@@ -6,15 +6,18 @@ reorders to ``(N, BS, alpha)``, and runs one ``(BS*N) x alpha' x alpha``
 GEMM against the constant matrix ``B[i, j] = q_hat_i mod p_j`` -- with the
 plane products mapped onto the FP64 tensor cores.
 
-Both a bit-exact functional path (:meth:`NeoBConv.run`) and an analytic
-cost path (:func:`bconv_cost`) are provided.
+:func:`bconv_cost` is the analytic cost of both algorithms on the modeled
+GPU; the pipelines price every BConv with it.  The functional kernel is
+:meth:`repro.math.modstack.ModulusStack.bconv_matmul`, which the key-switch
+plans and :func:`repro.math.rns.bconv_approx` call: one lazily reduced GEMM
+that contracts the source-limb axis of the ``(alpha, ..., N)`` stack in
+place against :func:`repro.math.rns.bconv_weights`, so no reorder copy is
+made.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Optional
 
 from ..gpu.memory_model import bconv_traffic
 from ..gpu.kernels import (
@@ -28,106 +31,6 @@ from ..gpu.kernels import (
     memoised_cost,
     word_bytes,
 )
-from ..math import modarith
-from ..math.rns import RnsBasis, bconv_matrix
-from . import layout
-
-
-class NeoBConv:
-    """The GEMM-form BConv kernel between two RNS bases."""
-
-    def __init__(self, from_basis: RnsBasis, to_basis: RnsBasis, gemm: Optional[Callable] = None):
-        """Args:
-            from_basis: source basis (``alpha`` limbs).
-            to_basis: target basis (``alpha'`` limbs).
-            gemm: optional ``gemm(a, b) -> exact integer matrix`` hook; by
-                default exact integer matmul stands in for the TCU.  The
-                GEMM must be *exact* (no modular reduction) because each
-                output column is reduced by a different prime afterwards.
-        """
-        self.from_basis = from_basis
-        self.to_basis = to_basis
-        self._gemm = gemm if gemm is not None else self._integer_gemm
-        self._matrix = bconv_matrix(from_basis, to_basis)  # (alpha, alpha')
-        # Per-target uint64 columns of B (column j is reduced mod p_j, so
-        # each fits a machine word whenever p_j does).
-        self._native_cols = (
-            [self._matrix[:, j].astype(np.uint64) for j in range(len(to_basis))]
-            if all(modarith.uses_native_backend(p) for p in to_basis.moduli)
-            else None
-        )
-
-    @staticmethod
-    def _integer_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a.astype(object) @ b.astype(object)
-
-    def run(self, tensor: np.ndarray) -> np.ndarray:
-        """Convert a ``(alpha, BS, N)`` limb tensor to ``(alpha', BS, N)``.
-
-        Semantics match :func:`repro.math.rns.bconv_approx` applied to every
-        ``(batch, coefficient)`` column -- the test-suite asserts it.
-        """
-        alpha, batch, n = self._check_input(tensor)
-        native = (
-            tensor.dtype != object
-            and self._native_cols is not None
-            and all(
-                modarith.uses_native_backend(q) for q in self.from_basis.moduli
-            )
-        )
-        # Step 1: scalar multiplication by q_hat_inv_i (per input limb).
-        scaled = np.empty(tensor.shape, dtype=np.uint64 if native else object)
-        for i, (q, inv) in enumerate(
-            zip(self.from_basis.moduli, self.from_basis.q_hat_inv)
-        ):
-            scaled[i] = modarith.scalar_mul_mod(
-                modarith.asarray_mod(tensor[i], q), inv, q
-            )
-        # Step 1b: data reorder (alpha, BS, N) -> (N, BS, alpha).
-        reordered = layout.bconv_forward(scaled)
-        flat = reordered.reshape(n * batch, alpha)
-        if native and self._gemm is NeoBConv._integer_gemm:
-            # Steps 2+3 fused in uint64: each output column reduces by its
-            # own prime, so run one Barrett-reduced GEMV per target limb --
-            # the same residues the exact GEMM + merge produces, with no
-            # bignum round trip.
-            out_cols = [
-                modarith.matmul_mod(flat, col, p)
-                for col, p in zip(self._native_cols, self.to_basis.moduli)
-            ]
-            stacked = np.stack(out_cols, axis=1).reshape(
-                n, batch, len(self.to_basis)
-            )
-            return layout.bconv_backward(stacked)
-        # Step 2: one big GEMM (BS*N, alpha) @ (alpha, alpha'), exact integers.
-        product = self._gemm(flat, self._matrix)
-        # Step 3: per-column modular reduction (CUDA-core merge step).
-        out_cols = []
-        for j, p in enumerate(self.to_basis.moduli):
-            out_cols.append(modarith.asarray_mod(np.asarray(product[:, j]), p))
-        stacked = np.stack(out_cols, axis=1).reshape(n, batch, len(self.to_basis))
-        # Step 4: reorder back to limb-contiguous (alpha', BS, N).
-        return layout.bconv_backward(stacked)
-
-    def _check_input(self, tensor: np.ndarray):
-        if tensor.ndim != 3:
-            raise ValueError(f"expected (alpha, BS, N) tensor, got {tensor.shape}")
-        alpha, batch, n = tensor.shape
-        if alpha != len(self.from_basis):
-            raise ValueError(
-                f"tensor has {alpha} limbs but basis has {len(self.from_basis)}"
-            )
-        return alpha, batch, n
-
-
-def reference_bconv(tensor: np.ndarray, from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
-    """Algorithm 1 (original element-wise BConv) on a limb tensor."""
-    from ..math.rns import bconv_approx
-
-    alpha, batch, n = tensor.shape
-    flat = [tensor[i].reshape(batch * n) for i in range(alpha)]
-    out = bconv_approx(flat, from_basis, to_basis)
-    return np.stack([np.asarray(limb).reshape(batch, n) for limb in out])
 
 
 # ---------------------------------------------------------------------------

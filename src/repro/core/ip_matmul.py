@@ -1,4 +1,4 @@
-"""Inner Product (IP) as matrix multiplication (Algorithm 4 + Figs. 7/8).
+"""Cost model of the inner product (IP) as a GEMM (Algorithm 4 + Figs. 7/8).
 
 The KLSS inner product multiply-accumulates ``beta`` ciphertext digit limbs
 against ``beta~ x beta`` evaluation-key limbs, per auxiliary prime and per
@@ -8,14 +8,18 @@ independent ``BS x beta x beta~`` GEMMs with full data reuse.
 
 When the valid proportion of the padded FP64 fragments falls below 80% the
 GEMM runs on CUDA cores instead (Section 4.5.3) -- :mod:`repro.core.mapping`
-implements that policy; here both cost variants are exposed.
+implements that policy; :func:`ip_cost` prices both variants, and the
+pipelines price every IP with it.
+
+The functional kernel is :meth:`repro.math.modstack.ModulusStack.lazy_mul_sum`,
+which the key-switch plans call: it folds the digit axis of the broadcast
+``(L, ..., N)`` limb and key stacks in place, with one reduction per
+accumulator chunk, so no reorder copy is made.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from ..gpu.memory_model import ip_traffic
 from ..gpu.kernels import (
@@ -29,97 +33,6 @@ from ..gpu.kernels import (
     memoised_cost,
     word_bytes,
 )
-from ..math import modarith
-from . import layout
-
-
-class NeoInnerProduct:
-    """The GEMM-form IP kernel over the auxiliary basis ``T``."""
-
-    def __init__(self, t_moduli: Sequence[int], gemm: Optional[Callable] = None):
-        """Args:
-            t_moduli: the ``alpha'`` auxiliary primes, indexing axis 1 of the
-                input tensors.
-            gemm: optional ``gemm(a, b, q) -> reduced matrix`` hook (e.g.
-                :func:`repro.gpu.tensorcore.fp64_gemm_mod` partially applied);
-                defaults to exact integer GEMM with reduction.
-        """
-        self.t_moduli = tuple(int(t) for t in t_moduli)
-        self._gemm = gemm if gemm is not None else modarith.matmul_mod
-
-    def run(self, limbs: np.ndarray, evk: np.ndarray) -> np.ndarray:
-        """Compute the inner product.
-
-        Args:
-            limbs: ``(beta, alpha', BS, N)`` ciphertext digit limbs.
-            evk: ``(beta~, beta, alpha', N)`` evaluation-key limbs.
-
-        Returns:
-            ``(beta~, alpha', BS, N)`` accumulated limbs, reduced mod ``t_k``.
-        """
-        beta, alpha_p, batch, n = self._check(limbs, evk)
-        beta_tilde = evk.shape[0]
-        c_re = layout.ip_limbs_forward(limbs)  # (N, alpha', BS, beta)
-        k_re = layout.ip_evk_forward(evk)  # (N, alpha', beta, beta~)
-        native = (
-            limbs.dtype != object
-            and evk.dtype != object
-            and self._gemm is modarith.matmul_mod
-            and all(modarith.uses_native_backend(t) for t in self.t_moduli)
-        )
-        out = np.empty(
-            (n, alpha_p, batch, beta_tilde),
-            dtype=np.uint64 if native else object,
-        )
-        for k, t in enumerate(self.t_moduli):
-            if native:
-                # All N per-coefficient GEMMs for this auxiliary prime run
-                # as one stacked (N, BS, beta) @ (N, beta, beta~) Barrett
-                # GEMM -- a single launch in the paper's execution model.
-                out[:, k] = modarith.matmul_mod(c_re[:, k], k_re[:, k], t)
-                continue
-            # One (N*BS) x beta~ x beta GEMM per auxiliary prime.
-            a = c_re[:, k].reshape(n * batch, beta)
-            b_blocks = k_re[:, k]  # (N, beta, beta~)
-            for l in range(n):
-                block = self._gemm(
-                    a[l * batch : (l + 1) * batch], b_blocks[l], t
-                )
-                out[l, k] = np.asarray(block, dtype=out.dtype)
-        return layout.ip_limbs_backward(out)
-
-    def _check(self, limbs: np.ndarray, evk: np.ndarray):
-        if limbs.ndim != 4 or evk.ndim != 4:
-            raise ValueError("limbs must be rank-4 (beta, alpha', BS, N); evk rank-4")
-        beta, alpha_p, batch, n = limbs.shape
-        beta_tilde, beta_e, alpha_e, n_e = evk.shape
-        if (beta_e, alpha_e, n_e) != (beta, alpha_p, n):
-            raise ValueError(
-                f"evk shape {evk.shape} inconsistent with limbs {limbs.shape}"
-            )
-        if alpha_p != len(self.t_moduli):
-            raise ValueError(
-                f"tensor has {alpha_p} aux limbs, kernel built for {len(self.t_moduli)}"
-            )
-        return beta, alpha_p, batch, n
-
-
-def reference_inner_product(
-    limbs: np.ndarray, evk: np.ndarray, t_moduli: Sequence[int]
-) -> np.ndarray:
-    """Algorithm 3: the original element-wise multiply-accumulate IP."""
-    beta, alpha_p, batch, n = limbs.shape
-    beta_tilde = evk.shape[0]
-    out = np.zeros((beta_tilde, alpha_p, batch, n), dtype=object)
-    for i in range(beta_tilde):
-        for j in range(beta):
-            for k in range(alpha_p):
-                t = int(t_moduli[k])
-                for b in range(batch):
-                    out[i, k, b] = (
-                        out[i, k, b] + limbs[j, k, b].astype(object) * evk[i, j, k]
-                    ) % t
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Radix-16 ("ten-step") NTT for the tensor cores (Section 4.4, Fig. 9).
+"""Cost model of the radix-16 ("ten-step") NTT (Section 4.4, Fig. 9).
 
 The four-step NTT splits an ``N``-point transform into GEMMs with
 ``sqrt(N) x sqrt(N)`` twiddle matrices; Neo decomposes once more so every
@@ -6,16 +6,18 @@ GEMM is ``16 x 16`` -- a perfect fit for the FP64 fragments (two ``8x8x4``
 tiles per dimension, no padding) and an 8x reduction in GEMM MACs at
 ``N = 2**16`` (``2**22`` vs ``2**25``).
 
-The functional path reuses the generic GEMM-decomposed transform of
-:mod:`repro.math.ntt`; this module adds the radix-16 factorisation logic,
-the TCU-backed execution hook, and the analytic cost.
+This module is the analytic side: :func:`radix16_factors` is the stage
+split the model prices, :func:`ntt_gemm_macs` counts its MACs, and
+:func:`ntt_cost` times butterfly, four-step and radix-16 transforms; the
+pipelines price every NTT with it.  The functional transform is
+:class:`repro.math.ntt.NttStack`, whose multi-step engine
+(:class:`repro.math.ntt.GemmSteps`) runs the same ``16 x 16 x 16 x 16``
+factorisation at ``N = 2**16`` as exact float64 GEMMs.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from ..gpu.memory_model import ntt_traffic
 from ..gpu.kernels import (
@@ -28,8 +30,6 @@ from ..gpu.kernels import (
     memoised_cost,
     word_bytes,
 )
-from ..gpu.tensorcore import make_tcu_gemm
-from ..math import ntt as ntt_mod
 
 
 def radix16_factors(degree: int) -> List[int]:
@@ -46,32 +46,6 @@ def radix16_factors(degree: int) -> List[int]:
         factors.append(stage)
         remaining //= stage
     return factors
-
-
-class NeoNtt:
-    """Negacyclic NTT through radix-16 GEMM stages, optionally on the TCU."""
-
-    def __init__(self, degree: int, modulus: int, use_tcu: bool = True,
-                 factors: Optional[Sequence[int]] = None):
-        self.degree = degree
-        self.modulus = modulus
-        self.factors = list(factors) if factors is not None else radix16_factors(degree)
-        if int(np.prod(self.factors)) != degree:
-            raise ValueError(
-                f"factors {self.factors} do not multiply to degree {degree}"
-            )
-        self._gemm = make_tcu_gemm(modulus) if use_tcu else None
-
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Negacyclic NTT in natural order (twist + GEMM stages)."""
-        return ntt_mod.negacyclic_ntt_via_gemm(
-            coeffs, self.modulus, self.factors, gemm=self._gemm
-        )
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return ntt_mod.negacyclic_intt_via_gemm(
-            values, self.modulus, self.factors, gemm=self._gemm
-        )
 
 
 def ntt_gemm_macs(degree: int, factors: Sequence[int]) -> int:

@@ -9,7 +9,13 @@ a 48-bit GEMM with **4** (both operands split into 24-bit halves) -- versus
 This module *executes* both strategies with numpy (``float64`` matmuls for
 the FP64 path, small-integer matmuls for the INT8 path), asserting the
 no-overflow invariants, so the claim is checked rather than assumed.  The
-same plane counts feed the analytic cost model.
+same plane counts feed the analytic cost model: :func:`plan_fp64_split` and
+:func:`plan_int8_split` choose the planes that
+:func:`repro.gpu.kernels.gemm_cost_tcu_fp64` / ``gemm_cost_tcu_int8`` and
+:mod:`repro.analysis.booth` price, and :func:`fp64_gemm_mod` /
+:func:`int8_gemm_mod` are the only code that runs those splits, against
+:func:`reference_gemm_mod`.  They work on object arrays, off the functional
+CKKS path, whose GEMMs run in :mod:`repro.math`.
 """
 
 from __future__ import annotations
@@ -183,18 +189,3 @@ def reference_gemm_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray
     return modarith.matmul_mod(
         modarith.asarray_mod(a, modulus), modarith.asarray_mod(b, modulus), modulus
     )
-
-
-def make_tcu_gemm(modulus: int, plan: Optional[SplitPlan] = None):
-    """A ``gemm(a, b, q)``-shaped hook running on the FP64 TCU emulation.
-
-    Suitable for injection into :func:`repro.math.ntt.multi_step_ntt`, which
-    is exactly how Neo's radix-16 NTT runs its butterflies on tensor cores.
-    """
-
-    def gemm(a, b, q):
-        if q != modulus:
-            raise ValueError("gemm hook built for a different modulus")
-        return fp64_gemm_mod(a, b, q, plan=plan)
-
-    return gemm

@@ -12,7 +12,7 @@ from .modarith import (
     to_signed,
     uses_fast_backend,
 )
-from .ntt import NttPlan, get_plan, multi_step_ntt, four_step_ntt
+from .ntt import NttPlan, get_plan
 from .polynomial import RnsPolynomial, negacyclic_multiply, automorphism
 from .primes import is_prime, ntt_primes, disjoint_prime_chains, root_of_unity
 from .rns import RnsBasis, bconv_approx, bconv_exact, bconv_matrix
@@ -29,13 +29,11 @@ __all__ = [
     "bconv_exact",
     "bconv_matrix",
     "disjoint_prime_chains",
-    "four_step_ntt",
     "get_plan",
     "inv_mod",
     "is_prime",
     "matmul_mod",
     "mul_mod",
-    "multi_step_ntt",
     "negacyclic_multiply",
     "ntt_primes",
     "pow_mod",

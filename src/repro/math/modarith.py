@@ -379,7 +379,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     Wide moduli below ``2**62`` run through the Barrett GEMM; anything
     larger (or object-dtype input) accumulates with exact Python integers.
     Either way the result is exact -- this is the *reference* GEMM against
-    which the tensor-core emulations are checked.
+    which the tensor-core emulations and the NTT engines are checked
+    (:func:`~repro.gpu.tensorcore.reference_gemm_mod`,
+    :func:`~repro.math.ntt.natural_order_negacyclic`); ``bench/layers.py``
+    attributes its time to ``math.modarith`` by name.
     """
     if uses_native_backend(modulus):
         a_arr = np.asarray(a)

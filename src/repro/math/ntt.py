@@ -1,6 +1,6 @@
 """Number-theoretic transforms over NTT-friendly prime fields.
 
-Three functionally equivalent front ends are provided, mirroring the
+Two functionally equivalent front ends are provided, mirroring the
 paper's discussion (Section 4.4):
 
 * :class:`NttPlan` -- the classic iterative negacyclic NTT (Cooley-Tukey
@@ -14,16 +14,14 @@ paper's discussion (Section 4.4):
   coefficient and evaluation domains.  Its engine follows from the degree
   and the moduli: sub-``2**31`` stacks run as exact float64 GEMMs -- one
   ``N x N`` matmul per limb for small ``N`` (one-step), otherwise
-  :class:`GemmSteps`, a multi-step split with contractions of at most 32
-  over balanced residues, one limb at a time -- and Barrett stacks run
-  the butterfly stages over ``(L, N)`` stacked twiddle tables.
-* :func:`four_step_ntt` / :func:`multi_step_ntt` -- the matrix-multiplication
-  formulations (four-step and the generalised "ten-step"/radix-16
-  decomposition) that Neo maps onto tensor cores.  They operate on the
-  *cyclic* DFT after an explicit ``psi``-twist, exactly as Fig. 9 shows
-  ("Mul & Trans" = twist + transpose between GEMMs).
+  :class:`GemmSteps`, the paper's multi-step ("ten-step"/radix-16) GEMM
+  decomposition with contractions of at most 32 over balanced residues,
+  one limb at a time -- and Barrett stacks run the butterfly stages over
+  ``(L, N)`` stacked twiddle tables.
 
-All transforms agree element-for-element; the test-suite asserts it.
+Both front ends agree element-for-element; the test-suite asserts it, and
+checks every stack engine against :func:`natural_order_negacyclic`, a
+dense Vandermonde product on Python integers.
 
 :func:`get_plan` and :func:`get_stack` memoise plans in the bounded LRU
 caches ``ntt_plans`` and ``ntt_stacks`` of :mod:`repro.telemetry.stats`;
@@ -33,7 +31,7 @@ caches ``ntt_plans`` and ``ntt_stacks`` of :mod:`repro.telemetry.stats`;
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -98,8 +96,6 @@ class NttPlan:
         inv_powers = self._power_table(self.psi_inv)
         self._psi_rev = powers[rev]
         self._psi_inv_rev = inv_powers[rev]
-        self._twist: Optional[np.ndarray] = None
-        self._untwist: Optional[np.ndarray] = None
         self._steps: dict = {}
         if self.native:
             self._psi_rev_shoup = _shoup_table(self._psi_rev, modulus)
@@ -108,8 +104,6 @@ class NttPlan:
             self._n_inv_shoup = _U64(
                 modarith.shoup_precompute(self.degree_inv, modulus)
             )
-            self._twist_shoup: Optional[np.ndarray] = None
-            self._untwist_shoup: Optional[np.ndarray] = None
 
     def _power_table(self, base: int) -> np.ndarray:
         table = np.empty(self.degree, dtype=object)
@@ -244,40 +238,6 @@ class NttPlan:
             t *= 2
             m = h
         return modarith.scalar_mul_mod(a, self.degree_inv, q)
-
-    # -- psi twisting --------------------------------------------------------
-
-    def _twist_tables(self, inverse: bool):
-        if inverse:
-            if self._untwist is None:
-                self._untwist = self._power_table(self.psi_inv)
-                if self.native:
-                    self._untwist_shoup = _shoup_table(self._untwist, self.modulus)
-            return (
-                self._untwist,
-                self._untwist_shoup if self.native else None,
-            )
-        if self._twist is None:
-            self._twist = self._power_table(self.psi)
-            if self.native:
-                self._twist_shoup = _shoup_table(self._twist, self.modulus)
-        return self._twist, self._twist_shoup if self.native else None
-
-    def twist(self, coeffs: np.ndarray) -> np.ndarray:
-        """Multiply coefficient ``i`` by ``psi**i`` (negacyclic -> cyclic)."""
-        a = modarith.asarray_mod(coeffs, self.modulus)
-        w, w_shoup = self._twist_tables(inverse=False)
-        if self.native and a.dtype != object:
-            return modarith.shoup_mul_mod(a, w, w_shoup, _U64(self.modulus))
-        return modarith.mul_mod(a, w, self.modulus)
-
-    def untwist(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`twist` (multiply by ``psi**-i``)."""
-        a = modarith.asarray_mod(coeffs, self.modulus)
-        w, w_shoup = self._twist_tables(inverse=True)
-        if self.native and a.dtype != object:
-            return modarith.shoup_mul_mod(a, w, w_shoup, _U64(self.modulus))
-        return modarith.mul_mod(a, w, self.modulus)
 
     def gemm_steps(self, inverse: bool) -> "GemmSteps":
         """This limb's :class:`GemmSteps` tables, built on first use."""
@@ -454,7 +414,7 @@ class NttStack:
     * ``"one-step"`` -- small ``N`` over sub-``2**31`` moduli: the whole
       transform is ONE exact float64 matmul per limb against a constant
       ``N x N`` matrix with the ``psi`` twist and the bit-reversal folded
-      in (the ``factors=(N,)`` case of :func:`multi_step_ntt`).
+      in (the multi-step decomposition with a single ``N``-point step).
     * ``"multi-step"`` -- every other sub-``2**31`` stack: the paper's
       multi-step GEMM NTT (Section 4.4) with steps of at most 32, one limb
       at a time through the :class:`GemmSteps` tables its cached
@@ -584,7 +544,7 @@ class NttStack:
             out[:, s : s + step] = kernel(np.ascontiguousarray(flat[:, s : s + step]))
         return out.reshape(stack.shape)
 
-    # -- one-step GEMM path (the factors=(N,) case of multi_step_ntt) --------
+    # -- one-step GEMM path (the multi-step split with one N-point step) -----
 
     def _one_step_tables(self):
         """Stacked ``(L, N, N)`` float64 ``R[j, k] = psi**((2 brv(k) + 1) j)``
@@ -741,133 +701,13 @@ def get_stack(degree: int, moduli: Sequence[int]) -> NttStack:
     return _STACKS.get_or_build(key, lambda: NttStack(degree, key[1]))
 
 
-# ---------------------------------------------------------------------------
-# Matrix-multiplication NTT formulations (the forms Neo maps onto TCUs)
-# ---------------------------------------------------------------------------
-
-
-def dft_matrix(size: int, root: int, modulus: int) -> np.ndarray:
-    """The `size` x `size` DFT matrix ``W[j, k] = root**(j*k) mod modulus``."""
-    exponents = np.outer(np.arange(size), np.arange(size)) % size
-    flat = np.array(
-        [pow(root, int(e), modulus) for e in exponents.ravel()], dtype=object
-    ).reshape(size, size)
-    if modarith.uses_native_backend(modulus):
-        return flat.astype(_U64)
-    return flat
-
-
-def cyclic_dft(coeffs: np.ndarray, modulus: int, root: int) -> np.ndarray:
-    """Dense (O(n^2)) cyclic DFT; ground truth for the fast decompositions."""
-    w = dft_matrix(len(coeffs), root, modulus)
-    return modarith.matmul_mod(w, modarith.asarray_mod(coeffs, modulus), modulus)
-
-
-def multi_step_ntt(
-    coeffs: np.ndarray,
-    modulus: int,
-    root: int,
-    factors: Sequence[int],
-    gemm=None,
-) -> np.ndarray:
-    """Cyclic DFT of ``len(coeffs)`` via recursive Cooley-Tukey GEMM steps.
-
-    ``factors`` is the radix decomposition of the transform size: ``(n1, n2)``
-    gives the paper's four-step NTT; ``(16, 16, 16, 16)`` at ``N = 2**16``
-    gives the Radix-16 ("ten-step") NTT of Section 4.4.  Every butterfly
-    stage is expressed as a modular GEMM so that a tensor-core GEMM emulation
-    can be injected through ``gemm`` (defaults to the exact integer GEMM).
-
-    Output is in natural (not bit-reversed) order.
-    """
-    n = len(coeffs)
-    if int(np.prod(factors)) != n:
-        raise ValueError(f"factors {tuple(factors)} do not multiply to {n}")
-    if gemm is None:
-        gemm = modarith.matmul_mod
-    x = modarith.asarray_mod(coeffs, modulus)
-    return _ct_recursive(x, modulus, root, list(factors), gemm)
-
-
-def _ct_recursive(x, modulus, root, factors, gemm):
-    """Recursive Cooley-Tukey split X = DFT_a combined with DFT_b blocks."""
-    n = len(x)
-    if len(factors) == 1:
-        w = dft_matrix(n, root, modulus)
-        return gemm(w, x.reshape(n, 1), modulus).reshape(n)
-    a = factors[0]
-    b = n // a
-    # x[j] with j = j1*b + j2  ->  M[j2, j1]
-    m = x.reshape(a, b).T.copy()
-    # Step 1: DFT of size a along rows:  A[j2, k1] = sum_j1 M[j2, j1] w_a^{j1 k1}
-    w_a = dft_matrix(a, modarith.pow_mod(root, b, modulus), modulus)
-    stage = gemm(m, w_a, modulus)
-    # Step 2: twiddle by root^{j2 * k1}
-    twiddle_exp = np.outer(np.arange(b), np.arange(a)) % n
-    twiddle = np.array(
-        [pow(root, int(e), modulus) for e in twiddle_exp.ravel()], dtype=object
-    ).reshape(b, a)
-    if modarith.uses_native_backend(modulus):
-        twiddle = twiddle.astype(_U64)
-        stage = modarith.mul_mod(modarith.asarray_mod(stage, modulus), twiddle, modulus)
-    else:
-        stage = modarith.mul_mod(stage.astype(object), twiddle, modulus)
-    # Step 3: size-b DFT down each column, recursively decomposed.
-    root_b = modarith.pow_mod(root, a, modulus)
-    columns = []
-    for k1 in range(a):
-        columns.append(_ct_recursive(stage[:, k1], modulus, root_b, factors[1:], gemm))
-    result = np.stack(columns, axis=1)  # result[k2, k1]
-    return result.reshape(n)  # X[k1 + a*k2] = result[k2, k1]
-
-
-def four_step_ntt(coeffs, modulus, root, n1=None, gemm=None):
-    """The paper's four-step NTT: one (n1, n2) GEMM split of the cyclic DFT."""
-    n = len(coeffs)
-    if n1 is None:
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-    return multi_step_ntt(coeffs, modulus, root, (n1, n // n1), gemm=gemm)
-
-
-def negacyclic_twist(coeffs: np.ndarray, degree: int, modulus: int) -> np.ndarray:
-    """Multiply coefficient ``i`` by ``psi**i``, mapping negacyclic to cyclic."""
-    return get_plan(degree, modulus).twist(coeffs)
-
-
-def negacyclic_untwist(coeffs: np.ndarray, degree: int, modulus: int) -> np.ndarray:
-    """Inverse of :func:`negacyclic_twist` (multiply by ``psi**-i``)."""
-    return get_plan(degree, modulus).untwist(coeffs)
-
-
-def negacyclic_ntt_via_gemm(
-    coeffs: np.ndarray, modulus: int, factors: Sequence[int], gemm=None
-) -> np.ndarray:
-    """Negacyclic NTT = psi-twist followed by the GEMM-decomposed cyclic DFT.
-
-    Returns evaluations in natural order: entry ``k`` is the polynomial
-    evaluated at ``psi**(2k+1)``.
-    """
-    degree = len(coeffs)
-    plan = get_plan(degree, modulus)
-    omega = plan.psi * plan.psi % modulus
-    twisted = negacyclic_twist(coeffs, degree, modulus)
-    return multi_step_ntt(twisted, modulus, omega, factors, gemm=gemm)
-
-
-def negacyclic_intt_via_gemm(
-    values: np.ndarray, modulus: int, factors: Sequence[int], gemm=None
-) -> np.ndarray:
-    """Inverse of :func:`negacyclic_ntt_via_gemm`."""
-    degree = len(values)
-    plan = get_plan(degree, modulus)
-    omega_inv = modarith.inv_mod(plan.psi * plan.psi % modulus, modulus)
-    spectrum = multi_step_ntt(values, modulus, omega_inv, factors, gemm=gemm)
-    scaled = modarith.scalar_mul_mod(spectrum, plan.degree_inv, modulus)
-    return negacyclic_untwist(scaled, degree, modulus)
-
-
 def natural_order_negacyclic(plan: NttPlan, coeffs: np.ndarray) -> np.ndarray:
-    """Reference dense negacyclic NTT in natural order (for cross-checks)."""
+    """Dense negacyclic NTT in natural order: entry ``k`` evaluates `coeffs`
+    at ``psi**(2k+1)`` by one Vandermonde product on Python integers.
+
+    The deliberately simple O(N^2) oracle that every :class:`NttStack`
+    engine is checked against (``tests/math/test_ntt_stack.py``).
+    """
     degree = plan.degree
     modulus = plan.modulus
     points = [pow(plan.psi, 2 * k + 1, modulus) for k in range(degree)]

@@ -202,7 +202,10 @@ def bconv_matrix(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
 
     This is matrix ``B`` of the paper's Algorithm 2: after the per-limb
     scalar multiplication by ``q_hat_inv_i``, BConv is exactly a GEMM with
-    this constant matrix (modulo each output prime).
+    this constant matrix (modulo each output prime).  The exact object
+    form is what the Algorithm 1 == Algorithm 2 test multiplies by; the
+    functional kernel reads the reduced :func:`bconv_weights` instead, and
+    ``bench/layers.py`` attributes this function to ``math.rns`` by name.
     """
     rows = []
     for q_hat in from_basis.q_hat:

@@ -37,7 +37,7 @@ per kernel class, exported through the telemetry registry and tracer
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -616,6 +616,7 @@ class Fleet:
         self.params = get_set(params) if isinstance(params, str) else params
         self.config = config
         self.lanes = lanes
+        self.max_batch = max_batch
         self.placement_policy = placement
         self.device = device
         self.interconnect = interconnect
@@ -677,7 +678,7 @@ class Fleet:
     # -- routing ------------------------------------------------------------------
 
     def _service_estimate(self, app: str, size: int) -> float:
-        """Single-request service estimate for routing and autoscaling."""
+        """Service estimate of one `size`-ciphertext batch on one group."""
         key = (app, size)
         est = self._estimates.get(key)
         if est is None:
@@ -719,26 +720,39 @@ class Fleet:
         """A hysteresis-damped scaling plan for the submitted trace.
 
         Offered demand is bucketed into `policy.window_s` windows of
-        estimated service-seconds (the same estimates the router uses);
-        each GPU contributes ``lanes * window_s`` service-seconds per
-        window.  The plan is advisory -- a deterministic what-if over the
-        trace, not a mid-drain topology change -- and feeds the capacity
-        decision for the *next* drain.
+        estimated service-seconds: each request costs its ciphertexts'
+        share of a full ``max_batch`` batch, since the batcher packs
+        requests that way under load.  A group contributes ``lanes *
+        window_s`` service-seconds per window, split over its
+        ``tensor_parallel`` GPUs, and the fleet scales in whole groups:
+        the policy's step and GPU bounds count in multiples of
+        ``tensor_parallel``, with at least one group.  The plan is
+        advisory -- a deterministic what-if over the trace, not a
+        mid-drain topology change -- and feeds the capacity decision for
+        the *next* drain.
         """
         policy = policy or AutoscalePolicy()
+        tp = self.tensor_parallel
+        top = max(policy.max_gpus // tp, 1) * tp  # never below one group
         horizon = max(
             (r.arrival_s for r in self._submitted), default=0.0
         )
         windows = [0.0] * (int(horizon // policy.window_s) + 1)
         for request in self._submitted:
+            full = self._service_estimate(request.app, self.max_batch)
             windows[int(request.arrival_s // policy.window_s)] += (
-                self._service_estimate(request.app, request.size)
+                full * request.size / self.max_batch
             )
         return plan_autoscale(
             windows,
-            policy,
-            start_gpus=self.groups,
-            capacity_per_gpu_s=self.lanes * policy.window_s,
+            replace(
+                policy,
+                step=policy.step * tp,
+                min_gpus=min(-(-policy.min_gpus // tp) * tp, top),
+                max_gpus=top,
+            ),
+            start_gpus=self.gpus,
+            capacity_per_gpu_s=self.lanes * policy.window_s / tp,
         )
 
     # -- simulation ---------------------------------------------------------------

@@ -1,92 +1,13 @@
-"""Functional equivalence of the GEMM-form kernels with Algorithms 1 and 3."""
+"""Cost model of the GEMM-form BConv and IP kernels (Algorithms 2 and 4).
 
-import numpy as np
+The functional kernels, ``ModulusStack.bconv_matmul`` and ``lazy_mul_sum``,
+are checked against Python-int oracles in ``tests/math``.
+"""
+
 import pytest
 
-from repro.core.bconv_matmul import NeoBConv, bconv_cost, reference_bconv
-from repro.core.ip_matmul import NeoInnerProduct, ip_cost, reference_inner_product
-from repro.gpu.tensorcore import fp64_gemm_mod
-from repro.math.primes import disjoint_prime_chains
-from repro.math.rns import RnsBasis
-
-CHAIN_Q, CHAIN_P, CHAIN_T = disjoint_prime_chains([26, 27, 28], 16, [3, 4, 3])
-BASIS_Q = RnsBasis(CHAIN_Q)
-BASIS_P = RnsBasis(CHAIN_P)
-
-
-def random_limb_tensor(basis, batch, n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.stack(
-        [
-            rng.integers(0, q, size=(batch, n)).astype(object)
-            for q in basis.moduli
-        ]
-    )
-
-
-class TestNeoBConv:
-    def test_matches_algorithm1(self):
-        """Algorithm 2 (GEMM form) == Algorithm 1 (element-wise) exactly."""
-        tensor = random_limb_tensor(BASIS_Q, batch=3, n=16, seed=1)
-        neo = NeoBConv(BASIS_Q, BASIS_P).run(tensor)
-        ref = reference_bconv(tensor, BASIS_Q, BASIS_P)
-        assert (neo == ref).all()
-
-    def test_with_fp64_tcu_gemm(self):
-        """The GEMM step can run through the FP64 tensor-core emulation."""
-
-        def tcu_exact_gemm(a, b):
-            # plane-split exact GEMM: use a modulus far above any entry
-            bound = 1 << 62
-            return np.asarray(
-                fp64_gemm_mod(a % bound, b % bound, bound), dtype=object
-            )
-
-        tensor = random_limb_tensor(BASIS_Q, batch=2, n=16, seed=2)
-        neo = NeoBConv(BASIS_Q, BASIS_P, gemm=tcu_exact_gemm).run(tensor)
-        ref = reference_bconv(tensor, BASIS_Q, BASIS_P)
-        assert (neo == ref).all()
-
-    def test_input_validation(self):
-        kernel = NeoBConv(BASIS_Q, BASIS_P)
-        with pytest.raises(ValueError):
-            kernel.run(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            kernel.run(np.zeros((99, 3, 16), dtype=object))
-
-
-class TestNeoInnerProduct:
-    BETA, ALPHA_P, BATCH, N = 3, 3, 2, 8
-
-    def _tensors(self, seed=3):
-        rng = np.random.default_rng(seed)
-        t_moduli = CHAIN_T[: self.ALPHA_P]
-        limbs = np.empty((self.BETA, self.ALPHA_P, self.BATCH, self.N), dtype=object)
-        evk = np.empty((2, self.BETA, self.ALPHA_P, self.N), dtype=object)
-        for k, t in enumerate(t_moduli):
-            limbs[:, k] = rng.integers(0, t, size=(self.BETA, self.BATCH, self.N))
-            evk[:, :, k] = rng.integers(0, t, size=(2, self.BETA, self.N))
-        return limbs, evk, t_moduli
-
-    def test_matches_algorithm3(self):
-        limbs, evk, t_moduli = self._tensors()
-        neo = NeoInnerProduct(t_moduli).run(limbs, evk)
-        ref = reference_inner_product(limbs, evk, t_moduli)
-        assert (neo == ref).all()
-
-    def test_with_fp64_tcu_gemm(self):
-        limbs, evk, t_moduli = self._tensors(seed=4)
-        neo = NeoInnerProduct(t_moduli, gemm=fp64_gemm_mod).run(limbs, evk)
-        ref = reference_inner_product(limbs, evk, t_moduli)
-        assert (neo == ref).all()
-
-    def test_shape_validation(self):
-        limbs, evk, t_moduli = self._tensors()
-        kernel = NeoInnerProduct(t_moduli)
-        with pytest.raises(ValueError):
-            kernel.run(limbs[:, :2], evk)
-        with pytest.raises(ValueError):
-            kernel.run(limbs[0], evk)
+from repro.core.bconv_matmul import bconv_cost
+from repro.core.ip_matmul import ip_cost
 
 
 class TestCostBuilders:

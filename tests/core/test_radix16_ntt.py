@@ -1,11 +1,12 @@
-"""Tests for the radix-16 (ten-step) NTT kernel."""
+"""Cost model of the radix-16 (ten-step) NTT: factors, MAC counts, cost.
 
-import numpy as np
+The functional multi-step GEMM NTT is tested in ``tests/math/test_ntt_stack.py``.
+"""
+
 import pytest
 
-from repro.core.radix16_ntt import NeoNtt, ntt_cost, ntt_gemm_macs, radix16_factors
+from repro.core.radix16_ntt import ntt_cost, ntt_gemm_macs, radix16_factors
 from repro.gpu.device import A100
-from repro.math.primes import ntt_primes
 
 
 class TestFactorisation:
@@ -34,46 +35,6 @@ class TestGemmMacCounts:
         assert four_step == 2**25
         assert radix16 == 2**22
         assert four_step / radix16 == 8
-
-
-class TestFunctionalNtt:
-    DEGREE = 256
-    Q = ntt_primes(28, 256, 1)[0]
-
-    def test_forward_inverse_roundtrip(self):
-        rng = np.random.default_rng(0)
-        coeffs = rng.integers(0, self.Q, size=self.DEGREE)
-        kernel = NeoNtt(self.DEGREE, self.Q, use_tcu=False)
-        assert kernel.factors == [16, 16]
-        back = kernel.inverse(kernel.forward(coeffs))
-        assert (back.astype(object) == coeffs.astype(object)).all()
-
-    def test_matches_iterative_plan_values(self):
-        """The GEMM NTT evaluates the same polynomial (natural order)."""
-        from repro.math.ntt import get_plan, natural_order_negacyclic
-
-        degree, q = 16, ntt_primes(28, 16, 1)[0]
-        rng = np.random.default_rng(1)
-        coeffs = rng.integers(0, q, size=degree)
-        kernel = NeoNtt(degree, q, use_tcu=False)
-        got = kernel.forward(coeffs)
-        want = natural_order_negacyclic(get_plan(degree, q), coeffs.astype(object))
-        assert (got.astype(object) == want.astype(object)).all()
-
-    def test_tcu_path_bit_exact(self):
-        """Running the GEMM stages on the FP64 TCU emulation changes nothing."""
-        degree = 64
-        q = ntt_primes(36, 64, 1)[0]
-        rng = np.random.default_rng(2)
-        coeffs = rng.integers(0, 2**36, size=degree).astype(object) % q
-        plain = NeoNtt(degree, q, use_tcu=False)
-        tcu = NeoNtt(degree, q, use_tcu=True)
-        assert (tcu.forward(coeffs) == plain.forward(coeffs)).all()
-        assert (tcu.inverse(tcu.forward(coeffs)).astype(object) == coeffs).all()
-
-    def test_custom_factors_validated(self):
-        with pytest.raises(ValueError):
-            NeoNtt(64, self.Q, factors=(4, 4))
 
 
 class TestNttCost:

@@ -141,35 +141,57 @@ def test_fp64_gemm_rejects_overflowing_plan():
         tensorcore.fp64_gemm_mod(a, b, Q36, plan=bad_plan)
 
 
+def _largest_with_full_low_planes(q, low_bits):
+    """The largest value below `q` whose low `low_bits` bits are all ones."""
+    return ((q >> low_bits) << low_bits) - 1
+
+
+def _plane_peak(value_a, value_b, plan, k_dim):
+    """The largest plane-product sum of all-`value` operands under `plan`."""
+    a = [(value_a >> (i * plan.a_bits)) & ((1 << plan.a_bits) - 1)
+         for i in range(plan.a_planes)]
+    b = [(value_b >> (j * plan.b_bits)) & ((1 << plan.b_bits) - 1)
+         for j in range(plan.b_planes)]
+    return max(a) * max(b) * k_dim
+
+
+@pytest.mark.parametrize(
+    "q, planes, peak", [(Q36, (1, 3), 0.4999), (Q48, (2, 2), 0.5000)]
+)
+def test_fp64_gemm_exact_at_its_worst_case(q, planes, peak):
+    """At K=16 the chosen plan is exact on the operands that drive its
+    largest plane product to the formula bound: the largest values below
+    `q` whose lower planes are all ones."""
+    k_dim, wordsize = 16, q.bit_length()
+    plan = tensorcore.plan_fp64_split(wordsize, wordsize, k_dim)
+    assert (plan.a_planes, plan.b_planes) == planes
+    value_a = _largest_with_full_low_planes(q, plan.a_bits * (plan.a_planes - 1))
+    value_b = _largest_with_full_low_planes(q, plan.b_bits * (plan.b_planes - 1))
+    assert round(_plane_peak(value_a, value_b, plan, k_dim) / 2**53, 4) == peak
+    a = np.full((4, k_dim), value_a, dtype=object)
+    b = np.full((k_dim, 4), value_b, dtype=object)
+    got = tensorcore.fp64_gemm_mod(a, b, q)
+    want = tensorcore.reference_gemm_mod(a, b, q)
+    assert (np.asarray(got, dtype=object) == np.asarray(want, dtype=object)).all()
+
+
+def test_fp64_gemm_past_the_bound_is_inexact(monkeypatch):
+    """With both 2**53 guards off, a 36-bit plan with 18-bit B planes sums
+    odd products past 2**53 and every output is wrong."""
+    monkeypatch.setattr(tensorcore, "FP64_PRECISION_BITS", 64)
+    plan = tensorcore.SplitPlan(a_planes=1, b_planes=2, a_bits=36, b_bits=18)
+    a = np.full((4, 16), Q36 - 2, dtype=object)
+    b = np.full((16, 4), Q36 - 2, dtype=object)
+    got = np.asarray(tensorcore.fp64_gemm_mod(a, b, Q36, plan=plan), dtype=object)
+    want = np.asarray(tensorcore.reference_gemm_mod(a, b, Q36), dtype=object)
+    assert (got != want).all()
+
+
 def test_int8_gemm_rejects_huge_k():
     a = np.zeros((8, 40000), dtype=object)
     b = np.zeros((40000, 8), dtype=object)
     with pytest.raises(tensorcore.PrecisionOverflowError):
         tensorcore.int8_gemm_mod(a, b, Q36)
-
-
-def test_make_tcu_gemm_hook():
-    gemm = tensorcore.make_tcu_gemm(Q36)
-    a, b = _random_gemm_operands(Q36, seed=5)
-    got = gemm(a, b, Q36)
-    want = tensorcore.reference_gemm_mod(a, b, Q36)
-    assert (np.asarray(got, dtype=object) == np.asarray(want, dtype=object)).all()
-    with pytest.raises(ValueError):
-        gemm(a, b, Q48)
-
-
-def test_tcu_gemm_drives_ntt():
-    """End-to-end: radix-style GEMM NTT through the FP64 TCU emulation."""
-    from repro.math import ntt
-
-    degree = 16
-    q = ntt_primes(36, degree, 1)[0]
-    rng = np.random.default_rng(7)
-    coeffs = rng.integers(0, int(q), size=degree, dtype=np.uint64).astype(object)
-    gemm = tensorcore.make_tcu_gemm(q)
-    spectrum = ntt.negacyclic_ntt_via_gemm(coeffs, q, (4, 4), gemm=gemm)
-    reference = ntt.negacyclic_ntt_via_gemm(coeffs, q, (4, 4))
-    assert (spectrum.astype(object) == reference.astype(object)).all()
 
 
 @settings(max_examples=20, deadline=None)

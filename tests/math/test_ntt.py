@@ -1,11 +1,15 @@
-"""Tests for all NTT variants: iterative, four-step GEMM, radix-16 GEMM."""
+"""Tests for the butterfly ``NttPlan``: round trips, plan caching, the
+convolution theorem, linearity and batching.
+
+``NttStack``'s GEMM engines are checked in ``test_ntt_stack.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.math import modarith, ntt
-from repro.math.primes import ntt_primes, root_of_unity
+from repro.math.primes import ntt_primes
 
 SMALL_Q = ntt_primes(28, 256, 1)[0]
 BIG_Q = ntt_primes(36, 256, 1)[0]
@@ -51,70 +55,6 @@ def test_convolution_theorem():
             ref[k] += sign * int(a[i]) * int(b[j])
     ref %= q
     assert list(via_ntt.astype(object)) == list(ref)
-
-
-@pytest.mark.parametrize("factors", [(16,), (4, 4), (2, 8), (2, 2, 2, 2)])
-def test_multi_step_matches_dense_dft(factors):
-    size, q = 16, SMALL_Q
-    w = root_of_unity(size, q)
-    rng = np.random.default_rng(3)
-    x = rng.integers(0, q, size=size)
-    dense = ntt.cyclic_dft(x, q, w)
-    fast = ntt.multi_step_ntt(x, q, w, factors)
-    assert list(fast.astype(object)) == list(dense.astype(object))
-
-
-def test_multi_step_bad_factors():
-    with pytest.raises(ValueError):
-        ntt.multi_step_ntt(np.zeros(16), SMALL_Q, 3, (4, 8))
-
-
-def test_four_step_default_split():
-    size, q = 64, SMALL_Q
-    w = root_of_unity(size, q)
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, q, size=size)
-    assert list(ntt.four_step_ntt(x, q, w).astype(object)) == list(
-        ntt.cyclic_dft(x, q, w).astype(object)
-    )
-
-
-@pytest.mark.parametrize("q", [SMALL_Q, BIG_Q])
-def test_negacyclic_gemm_matches_natural_order_reference(q):
-    """Twist + GEMM DFT == dense Vandermonde negacyclic NTT (natural order)."""
-    degree = 16
-    rng = np.random.default_rng(11)
-    coeffs = rng.integers(0, 2**30, size=degree).astype(object)
-    plan = ntt.get_plan(degree, q)
-    reference = ntt.natural_order_negacyclic(plan, coeffs)
-    via_gemm = ntt.negacyclic_ntt_via_gemm(coeffs, q, (4, 4))
-    assert list(via_gemm.astype(object)) == list(reference.astype(object))
-
-
-@pytest.mark.parametrize("factors", [(16, 16), (4, 4, 4, 4), (16, 4, 4)])
-def test_negacyclic_gemm_roundtrip_radix16_shapes(factors):
-    """Radix-16-style decompositions invert exactly (the ten-step NTT core)."""
-    degree = int(np.prod(factors))
-    q = ntt_primes(28, degree, 1)[0]
-    rng = np.random.default_rng(13)
-    coeffs = rng.integers(0, q, size=degree)
-    spectrum = ntt.negacyclic_ntt_via_gemm(coeffs, q, factors)
-    back = ntt.negacyclic_intt_via_gemm(spectrum, q, factors)
-    assert list(back.astype(object)) == [int(c) % q for c in coeffs]
-
-
-def test_gemm_injection_is_used():
-    """A custom GEMM hook must be called by the multi-step NTT."""
-    calls = []
-
-    def spy_gemm(a, b, q):
-        calls.append((a.shape, b.shape))
-        return modarith.matmul_mod(a, b, q)
-
-    size, q = 16, SMALL_Q
-    w = root_of_unity(size, q)
-    ntt.multi_step_ntt(np.arange(size), q, w, (4, 4), gemm=spy_gemm)
-    assert calls, "gemm hook was never invoked"
 
 
 def test_bit_reverse_permutation_involutive():

@@ -114,6 +114,31 @@ def test_one_step_matches_dense_vandermonde(name, degree):
         assert [int(v) for v in row] == [int(v) for v in natural[rev]]
 
 
+@pytest.mark.parametrize(
+    "name, degree, engine, planes",
+    [
+        ("q25", 256, "multi-step", [1, 1, 1]),
+        ("q30", 256, "multi-step", [2, 2, 2]),
+        ("q36", 32, "butterfly", None),
+    ],
+    ids=["multi-step-one-plane", "multi-step-two-planes", "butterfly"],
+)
+def test_engines_match_dense_vandermonde(name, degree, engine, planes):
+    """Every engine past the one-step one, against the dense oracle: slot
+    k holds the evaluation at ``psi**(2 brv(k) + 1)``."""
+    moduli = MODULI[name]
+    stack = ntt.NttStack(degree, moduli)
+    assert stack.engine == engine
+    if planes is not None:
+        assert [p.gemm_steps(False).planes for p in stack.plans] == planes
+    x = _random_stack(moduli, (degree,), seed=5)
+    fwd = stack.forward(x)
+    rev = ntt._bit_reverse_permutation(degree)
+    for limb, plan, row in zip(x, stack.plans, fwd):
+        natural = ntt.natural_order_negacyclic(plan, limb)
+        assert [int(v) for v in row] == [int(v) for v in natural[rev]]
+
+
 def test_engine_selection():
     assert ntt.NttStack(32, Q25).engine == "one-step"
     assert ntt.NttStack(8192, Q25).engine == "multi-step"

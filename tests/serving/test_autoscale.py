@@ -107,11 +107,11 @@ class TestClampsAndBacklog:
 class TestFleetIntegration:
     def test_fleet_plans_from_submitted_trace(self):
         fleet = Fleet(gpus=2, lanes=2)
-        # ~40 bootstrap requests in the first 100 s: far beyond two
-        # devices' capacity, so the plan must grow the fleet.
-        for i in range(40):
+        # 1000 bootstrap requests in the first 100 s: ~1.5x two devices'
+        # batched capacity, so the plan must grow the fleet.
+        for i in range(1000):
             fleet.submit(
-                Request(rid=i, app="packbootstrap", arrival_s=float(i * 2))
+                Request(rid=i, app="packbootstrap", arrival_s=i / 10)
             )
         trace = fleet.plan_autoscale(
             AutoscalePolicy(window_s=100.0, up_windows=1, max_gpus=8)
@@ -119,6 +119,34 @@ class TestFleetIntegration:
         assert trace.start_gpus == 2
         assert trace.scale_ups >= 1
         assert trace.final_gpus > 2
+
+    def test_tensor_parallel_plan_scales_whole_groups(self):
+        """Four GPUs in two 2-GPU groups: the plan counts GPUs, not groups,
+        and grows or shrinks one whole group at a time."""
+        fleet = Fleet(gpus=4, tensor_parallel=2)
+        for i in range(2000):  # a 100 s burst, then a trickle
+            fleet.submit(
+                Request(rid=i, app="packbootstrap", arrival_s=i / 20)
+            )
+        for i in range(8):
+            fleet.submit(
+                Request(rid=2000 + i, app="packbootstrap",
+                        arrival_s=100.0 + 50 * i)
+            )
+        trace = fleet.plan_autoscale(
+            AutoscalePolicy(window_s=50.0, up_windows=1, down_windows=1,
+                            cooldown_windows=0, max_gpus=7)
+        )
+        assert trace.start_gpus == 4
+        assert trace.scale_ups >= 1 and trace.scale_downs >= 1
+        sizes = [trace.start_gpus] + [d.gpus for d in trace.decisions]
+        assert {abs(b - a) for a, b in zip(sizes, sizes[1:])} == {0, 2}
+        assert trace.peak_gpus == 6  # the largest whole-group size <= 7
+        assert trace.final_gpus == 2  # never below one group
+        # A group wider than the policy's cap still plans as one group.
+        wide = Fleet(gpus=4, tensor_parallel=4)
+        wide.submit(Request(rid=0, app="packbootstrap", arrival_s=0.0))
+        assert wide.plan_autoscale(AutoscalePolicy(max_gpus=2)).final_gpus == 4
 
     def test_fleet_overload_passthrough(self):
         fleet = Fleet(
