@@ -9,9 +9,12 @@ This module is the functional-backend implementation of that idea:
   call: the gadget-decomposed evk stacked into one NTT-domain tensor, the
   BConv conversion matrices (with zero-padded short digits so every digit
   rides the same GEMM), the ModDown inverses, and the KLSS Recover-Limbs
-  constants.
+  constants.  The key exists once, as the ``evk`` tensor: the per-digit
+  polynomials the reference pipeline reads (``key_pairs``,
+  ``KlssLevelKey.digit_pairs``) are views of it.
 * :func:`gemm_keyswitch` runs the whole pipeline on the contiguous limb
-  stack: one batched BConv matmul for ModUp (Algorithm 2), one
+  stack: one batched BConv matmul for ModUp (Algorithm 2), then one
+  epilogue shared with the rotation batches -- one
   :class:`~repro.math.ntt.NttStack` call over all digits, one
   lazy-reduction multiply-accumulate for the IP (Algorithm 4 -- 128-bit
   accumulation via :meth:`~repro.math.modstack.ModulusStack.lazy_mul_sum`),
@@ -96,26 +99,52 @@ def operand_traffic_report(
     return report
 
 
+def _pair_views(
+    evk: np.ndarray, basis: RnsBasis
+) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
+    """Per-digit NTT-domain ``(b, a)`` views of an ``(L, 2, digits, N)`` key."""
+    degree = evk.shape[-1]
+    return [
+        (
+            RnsPolynomial._wrap(degree, basis, evk[:, 0, j], True),
+            RnsPolynomial._wrap(degree, basis, evk[:, 1, j], True),
+        )
+        for j in range(evk.shape[2])
+    ]
+
+
 class KlssLevelKey:
-    """The evk of one level, gadget-decomposed into the auxiliary basis."""
+    """The evk of one level, gadget-decomposed into the auxiliary basis.
+
+    Holds no key material of its own: it reads the plan's
+    ``(L_T, beta~, 2, beta, N)`` ``evk`` tensor.
+    """
 
     def __init__(
         self,
         t_basis: RnsBasis,
-        digit_pairs: List[List[Tuple[RnsPolynomial, RnsPolynomial]]],
+        evk: np.ndarray,
         gadget_factors: List[int],
         pq_basis: RnsBasis,
     ):
-        #: ``digit_pairs[i][j]`` = digit ``i`` of evk pair ``j``, over ``R_T`` (NTT).
         self.t_basis = t_basis
-        self.digit_pairs = digit_pairs
+        self._evk = evk
         #: ``gadget_factors[i] = G_hat_i = PQ_l / G_i`` (exact integers).
         self.gadget_factors = gadget_factors
         self.pq_basis = pq_basis
 
     @property
+    def digit_pairs(self) -> List[List[Tuple[RnsPolynomial, RnsPolynomial]]]:
+        """``digit_pairs[i][j]`` = digit ``i`` of evk pair ``j``, over ``R_T``
+        (NTT): views of the ``evk`` tensor."""
+        return [
+            _pair_views(self._evk[:, i], self.t_basis)
+            for i in range(self.beta_tilde)
+        ]
+
+    @property
     def beta_tilde(self) -> int:
-        return len(self.digit_pairs)
+        return self._evk.shape[1]
 
 
 def _limb_groups(n_limbs: int, alpha_tilde: int) -> List[Tuple[int, int]]:
@@ -168,12 +197,12 @@ def _extract_digit(
     start: int,
     stop: int,
     t_basis: RnsBasis,
-) -> RnsPolynomial:
-    """Digit ``[v * G_hat^{-1}]_{G}`` of `poly`, lifted exactly into ``R_T``."""
+) -> List[np.ndarray]:
+    """Digit ``[v * G_hat^{-1}]_{G}`` of coefficient-form `poly`, lifted
+    exactly into ``R_T``: one coefficient limb per modulus of `t_basis`."""
     group_value = group_basis.compose(poly.limbs[start:stop])
     digit = (group_value * inv_factor) % group_basis.product
-    limbs = t_basis.decompose(digit)
-    return RnsPolynomial(poly.degree, t_basis, limbs, is_ntt=False).to_ntt()
+    return t_basis.decompose(digit)
 
 
 def _weight_array(rows, native: bool) -> np.ndarray:
@@ -188,7 +217,8 @@ class KeySwitchPlan:
     Built once and cached; holds only *constants* (weight tensors, scalar
     lists, the stacked evk) -- the engines below are pure functions of the
     plan plus the input polynomial, so a plan can serve concurrent lanes
-    without locking.
+    without locking.  ``target`` is the stack ModUp raises into and the IP
+    runs over: ``PQ`` for hybrid, the auxiliary ``T`` for KLSS.
     """
 
     def __init__(
@@ -269,23 +299,25 @@ class KeySwitchPlan:
 
     def _build_hybrid(self, ksk):
         pq = self.pq_basis
+        self.target = self.pq_mstack
         self.modup_weights = self._modup_weights(pq.moduli, self.pq_mstack.native)
-        restricted = [
-            (
-                restrict_to_pq(b, self.params, self.level).to_ntt(),
-                restrict_to_pq(a, self.params, self.level).to_ntt(),
-            )
-            for b, a in ksk.pairs[: self.beta]
-        ]
-        #: Per-digit NTT pairs, read by the reference key switch.
-        self.key_pairs = restricted
-        evk = np.empty(
+        coeffs = np.empty(
             (len(pq), 2, self.beta, self.degree), dtype=self.pq_mstack.dtype
         )
-        for j, (b, a) in enumerate(restricted):
-            evk[:, 0, j, :] = b.stack
-            evk[:, 1, j, :] = a.stack
-        self.evk = evk
+        for j, pair in enumerate(ksk.pairs[: self.beta]):
+            for c, poly in enumerate(pair):
+                coeffs[:, c, j] = restrict_to_pq(poly, self.params, self.level).stack
+        #: ``(L_PQ, 2, beta, N)``: digit ``j`` of each evk polynomial (NTT),
+        #: transformed in one call from the coefficient-form key pairs.
+        self.evk = get_stack(self.degree, pq.moduli).forward(coeffs)
+
+    @property
+    def key_pairs(self) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
+        """Per-digit NTT ``(b, a)`` pairs of a hybrid plan, read by the
+        reference key switch: views of :attr:`evk`."""
+        if self.method != "hybrid":
+            raise AttributeError("a KLSS plan's key digits are klss_key.digit_pairs")
+        return _pair_views(self.evk, self.pq_basis)
 
     def _build_klss(self, ksk):
         params, level = self.params, self.level
@@ -295,11 +327,11 @@ class KeySwitchPlan:
         t_basis = params.aux_basis.subbasis(0, alpha_prime)
         _check_ip_bound(params, level, t_basis)
         self.t_basis = t_basis
-        self.t_mstack = ModulusStack.for_moduli(t_basis.moduli)
+        self.target = ModulusStack.for_moduli(t_basis.moduli)
         self.beta_tilde = beta_tilde
         self.max_aux_modulus = max(t_basis.moduli)
         self.modup_weights = self._modup_weights(
-            t_basis.moduli, self.t_mstack.native
+            t_basis.moduli, self.target.native
         )
 
         pq = self.pq_basis
@@ -321,28 +353,21 @@ class KeySwitchPlan:
             )
             for b, a in ksk.pairs[:beta]
         ]
-        digit_pairs: List[List[Tuple[RnsPolynomial, RnsPolynomial]]] = []
-        for group_basis, inv, start, stop in group_data:
-            row = []
-            for b, a in restricted:
-                row.append(
-                    (
-                        _extract_digit(b, group_basis, inv, start, stop, t_basis),
-                        _extract_digit(a, group_basis, inv, start, stop, t_basis),
-                    )
-                )
-            digit_pairs.append(row)
-        self.klss_key = KlssLevelKey(t_basis, digit_pairs, gadget_factors, pq)
-
-        evk = np.empty(
+        coeffs = np.empty(
             (len(t_basis), beta_tilde, 2, beta, self.degree),
-            dtype=self.t_mstack.dtype,
+            dtype=self.target.dtype,
         )
-        for i, row in enumerate(digit_pairs):
-            for j, (b, a) in enumerate(row):
-                evk[:, i, 0, j, :] = b.stack
-                evk[:, i, 1, j, :] = a.stack
-        self.evk = evk
+        for i, (group_basis, inv, start, stop) in enumerate(group_data):
+            for j, pair in enumerate(restricted):
+                for c, poly in enumerate(pair):
+                    coeffs[:, i, c, j] = _extract_digit(
+                        poly, group_basis, inv, start, stop, t_basis
+                    )
+        #: ``(L_T, beta~, 2, beta, N)``: gadget digit ``i`` of digit ``j``
+        #: of each evk polynomial, lifted into ``R_T`` and transformed in
+        #: one call (NTT).
+        self.evk = get_stack(self.degree, t_basis.moduli).forward(coeffs)
+        self.klss_key = KlssLevelKey(t_basis, self.evk, gadget_factors, pq)
 
         # -- Recover Limbs constants (Step 5) --------------------------------
         # x_i = S_i - v_i*T with S_i = sum_k y'_ik * T_hat_k, so the gadget
@@ -480,7 +505,7 @@ def _recover_limbs(acc: np.ndarray, plan: KeySwitchPlan) -> np.ndarray:
     ``G_hat_i * T_hat_k mod p_j`` weights, minus the ``v_i * (G_hat_i * T)``
     correction -- no object-dtype CRT compose on the hot path.
     """
-    y = plan.t_mstack.scalar_mul(acc, plan.t_scalars)  # y'_ik, (L_T, b~, 2, ..., N)
+    y = plan.target.scalar_mul(acc, plan.t_scalars)  # y'_ik, (L_T, b~, 2, ..., N)
     v = _overflow_counts(y, plan)  # (b~, 2, ..., N)
     l_t = len(plan.t_basis)
     moved = np.ascontiguousarray(np.moveaxis(y, 0, 1))  # (b~, L_T, 2, ..., N)
@@ -510,34 +535,35 @@ def gemm_keyswitch(
 def _gemm_keyswitch_inner(
     poly: RnsPolynomial, plan: KeySwitchPlan
 ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-    raised = _modup_stack(poly.from_ntt().stack, plan)
-
-    if plan.method == "hybrid":
-        # raised: (L_PQ, beta, batch..., N)
-        ntt = get_stack(plan.degree, plan.pq_basis.moduli)
-        raised = ntt.forward(raised)
-        n_batch = raised.ndim - 3
-        evk = plan.evk.reshape(
-            plan.evk.shape[:3] + (1,) * n_batch + (plan.degree,)
-        )
-        acc = plan.pq_mstack.lazy_mul_sum(evk, raised[:, None], axis=2)
-        acc = ntt.inverse(acc)  # (L_PQ, 2, batch..., N)
-    else:
-        # raised: (L_T, beta, batch..., N)
-        ntt = get_stack(plan.degree, plan.t_basis.moduli)
-        raised = ntt.forward(raised)
-        n_batch = raised.ndim - 3
-        evk = plan.evk.reshape(
-            plan.evk.shape[:4] + (1,) * n_batch + (plan.degree,)
-        )
-        acc = plan.t_mstack.lazy_mul_sum(
-            evk, raised[:, None, None], axis=3
-        )  # (L_T, beta~, 2, batch..., N)
-        acc = ntt.inverse(acc)
-        acc = _recover_limbs(acc, plan)  # (L_PQ, 2, batch..., N)
-
-    out = _mod_down_stack(acc, plan)  # (L_Q, 2, batch..., N)
+    raised = _modup_stack(poly.from_ntt().stack, plan)  # (L, beta, batch..., N)
+    n_batch = raised.ndim - 3
+    evk = plan.evk.reshape(plan.evk.shape[:-1] + (1,) * n_batch + (plan.degree,))
+    out = _inner_product(raised, evk, plan, digit_axis=1)  # (L_Q, 2, batch..., N)
     return _split_pair(out, plan)
+
+
+def _inner_product(
+    raised: np.ndarray, evk: np.ndarray, plan: KeySwitchPlan, digit_axis: int
+) -> np.ndarray:
+    """The one key-switch epilogue: NTT, lazy IP, INTT, Recover, ModDown.
+
+    `raised` is the ModUp'd ``(L, ...)`` stack over ``plan.target`` with
+    its digits on `digit_axis`; `evk` carries the key axes -- ``(2,)``
+    hybrid, ``(beta~, 2)`` KLSS -- right after the limb axis, then axes
+    that broadcast against the rest of `raised`.  Returns the
+    ``(L_Q, 2, ..., N)`` key-switched stack in coefficient form.  Exact
+    sums modulo each limb at every step, so the result is bit-identical to
+    the per-digit reference key switch.
+    """
+    ntt = get_stack(plan.degree, plan.target.moduli)
+    f = ntt.forward(raised)
+    key_axes = evk.ndim - f.ndim
+    f = f[(slice(None),) + (None,) * key_axes]
+    acc = plan.target.lazy_mul_sum(evk, f, axis=digit_axis + key_axes)
+    acc = ntt.inverse(acc)  # (L, [beta~,] 2, ..., N)
+    if plan.method == "klss":
+        acc = _recover_limbs(acc, plan)  # (L_PQ, 2, ..., N)
+    return _mod_down_stack(acc, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +588,9 @@ class HoistedRotationPlan:
       ciphertext, then all k automorphisms applied to the raised digits
       (Halevi-Shoup hoisting: decomposition and ModUp are
       coefficient-wise, hence commute with the automorphism).
-    * :func:`gemm_rotation_batch` (via :class:`RotationBatchPlan`) -- k
-      *different* polynomials, each rotated by its own step and key-
-      switched in one batched pipeline (the BSGS giant steps).
+    * :func:`gemm_rotation_batch` -- k *different* polynomials, each
+      rotated by its own step and key-switched in one batched pipeline
+      (the BSGS giant steps).
     """
 
     def __init__(
@@ -592,12 +618,9 @@ class HoistedRotationPlan:
             src[i], neg[i] = automorphism_gather_maps(power, degree)
         self.src = src
         self.negmask = neg
-        if method == "hybrid":
-            # (L_PQ, 2, k, beta, N)
-            self.evk = np.stack([kp.evk for kp in per_key], axis=2)
-        else:
-            # (L_T, beta~, 2, k, beta, N)
-            self.evk = np.stack([kp.evk for kp in per_key], axis=3)
+        #: The k keys on an axis before the digit axis: ``(L_PQ, 2, k,
+        #: beta, N)`` hybrid, ``(L_T, beta~, 2, k, beta, N)`` KLSS.
+        self.evk = np.stack([kp.evk for kp in per_key], axis=-3)
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -616,10 +639,6 @@ class HoistedRotationPlan:
         return operand_traffic_report(self.operand_bytes(), device, batch)
 
 
-class RotationBatchPlan(HoistedRotationPlan):
-    """Per-item automorphism + one batched key switch (BSGS giant steps)."""
-
-
 def _gather_rotations(
     stack: np.ndarray, rplan: HoistedRotationPlan, mstack: ModulusStack
 ) -> np.ndarray:
@@ -636,38 +655,11 @@ def _gather_itemwise(
     return np.where(rplan.negmask, mstack.neg(rot), rot)
 
 
-def _rotation_ip(raised: np.ndarray, rplan: HoistedRotationPlan) -> np.ndarray:
-    """Shared epilogue: NTT, batched lazy IP, INTT, Recover, ModDown.
-
-    `raised` is the ModUp'd digit stack ``(L, k, beta, N)`` over PQ
-    (hybrid) or T (KLSS); returns the ``(L_Q, 2, k, N)`` key-switched
-    output stack in coefficient form.  Exact sums modulo each limb at
-    every step, so the result is bit-identical to k per-rotation reference
-    key switches.
-    """
-    plan = rplan.ks
-    if plan.method == "hybrid":
-        ntt = get_stack(plan.degree, plan.pq_basis.moduli)
-        f = ntt.forward(raised)
-        # (L_PQ, 2, k, beta, N) * (L_PQ, 1, k, beta, N) -> fold beta
-        acc = plan.pq_mstack.lazy_mul_sum(rplan.evk, f[:, None], axis=3)
-        acc = ntt.inverse(acc)  # (L_PQ, 2, k, N)
-    else:
-        ntt = get_stack(plan.degree, plan.t_basis.moduli)
-        f = ntt.forward(raised)
-        # (L_T, b~, 2, k, beta, N) * (L_T, 1, 1, k, beta, N) -> fold beta
-        acc = plan.t_mstack.lazy_mul_sum(rplan.evk, f[:, None, None], axis=4)
-        acc = ntt.inverse(acc)  # (L_T, b~, 2, k, N)
-        acc = _recover_limbs(acc, plan)  # (L_PQ, 2, k, N)
-    return _mod_down_stack(acc, plan)  # (L_Q, 2, k, N)
-
-
 def _modup_stack(stack: np.ndarray, plan: KeySwitchPlan) -> np.ndarray:
     """Batched ModUp of a coefficient ``(L_Q, ..., N)`` stack (Algorithm 2)."""
     scaled = plan.q_mstack.scalar_mul(stack, plan.modup_scalars)
     grouped = _group_digits(scaled, plan)  # (beta, alpha, ..., N)
-    target = plan.pq_mstack if plan.method == "hybrid" else plan.t_mstack
-    return target.bconv_matmul(
+    return plan.target.bconv_matmul(
         grouped, plan.modup_weights, operand_bound=plan.max_source_modulus
     )  # (L_target, beta, ..., N)
 
@@ -696,10 +688,9 @@ def _hoisted_gemm_rotations_inner(
 ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
     plan = hplan.ks
     raised = _modup_stack(c1.from_ntt().stack, plan)  # (L, beta, N)
-    mstack = plan.pq_mstack if plan.method == "hybrid" else plan.t_mstack
-    rot = _gather_rotations(raised, hplan, mstack)  # (L, beta, k, N)
+    rot = _gather_rotations(raised, hplan, plan.target)  # (L, beta, k, N)
     rot = np.ascontiguousarray(np.swapaxes(rot, 1, 2))  # (L, k, beta, N)
-    out = _rotation_ip(rot, hplan)  # (L_Q, 2, k, N)
+    out = _inner_product(rot, hplan.evk, plan, digit_axis=2)  # (L_Q, 2, k, N)
 
     rot0 = _gather_rotations(c0.from_ntt().stack, hplan, plan.q_mstack)
     b_out = plan.q_mstack.add(rot0, out[:, 0])  # (L_Q, k, N)
@@ -716,7 +707,7 @@ def _hoisted_gemm_rotations_inner(
 
 
 def gemm_rotation_batch(
-    c0_stack: np.ndarray, c1_stack: np.ndarray, rplan: RotationBatchPlan
+    c0_stack: np.ndarray, c1_stack: np.ndarray, rplan: HoistedRotationPlan
 ) -> np.ndarray:
     """Rotate item ``i`` of a ``(L_Q, k, N)`` pair batch by power ``i``.
 
@@ -731,7 +722,7 @@ def gemm_rotation_batch(
     rot1 = _gather_itemwise(c1_stack, rplan, plan.q_mstack)  # (L_Q, k, N)
     raised = _modup_stack(rot1, plan)  # (L, beta, k, N)
     raised = np.ascontiguousarray(np.swapaxes(raised, 1, 2))  # (L, k, beta, N)
-    out = _rotation_ip(raised, rplan)  # (L_Q, 2, k, N)
+    out = _inner_product(raised, rplan.evk, plan, digit_axis=2)  # (L_Q, 2, k, N)
     rot0 = _gather_itemwise(c0_stack, rplan, plan.q_mstack)
     out[:, 0] = plan.q_mstack.add(rot0, out[:, 0])
     return out
@@ -802,11 +793,12 @@ def get_hoisted_rotation_plan(
 
 def get_rotation_batch_plan(
     galois_keys, powers, params: CkksParameters, level: int, method: str
-) -> RotationBatchPlan:
-    """The cached :class:`RotationBatchPlan` (giant-step batches)."""
+) -> HoistedRotationPlan:
+    """The cached :class:`HoistedRotationPlan` of a giant-step batch, under
+    a key of its own (a batch and a hoisted plan never share an entry)."""
     key = _rotation_plan_key("rotbatch", galois_keys, powers, params, level, method)
     return _OP_PLANS.get_or_build(
         key,
-        lambda: RotationBatchPlan(galois_keys, tuple(powers), params, level, method),
+        lambda: HoistedRotationPlan(galois_keys, tuple(powers), params, level, method),
     )
 

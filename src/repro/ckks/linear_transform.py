@@ -109,7 +109,7 @@ class LinearTransformPlan:
             self.hoist = _ksplan.get_hoisted_rotation_plan(
                 gk, powers, params, level, method
             )
-        self.giant_batch: Optional[_ksplan.RotationBatchPlan] = None
+        self.giant_batch: Optional[_ksplan.HoistedRotationPlan] = None
         if self.live_giants:
             powers = tuple(
                 rotation_galois_power(g * lt.baby, params.degree)

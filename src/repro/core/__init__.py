@@ -6,13 +6,9 @@ from .autotuner import (
     MODEL_VERSION,
     TunedConfig,
     TuningReport,
-    TuningResult,
     TuningStore,
-    best_configuration,
     default_tuning_store,
-    hybrid_vs_best_klss,
     tune_app,
-    tune_keyswitch,
 )
 from .bconv_matmul import bconv_cost
 from .ip_matmul import ip_cost
@@ -68,12 +64,8 @@ __all__ = [
     "StreamScheduler",
     "TENSORFHE_CONFIG",
     "TraceCache",
-    "TuningResult",
-    "best_configuration",
     "default_tuning_store",
-    "hybrid_vs_best_klss",
     "tune_app",
-    "tune_keyswitch",
     "bconv_cost",
     "bconv_gemm_shape",
     "choose_ip_component",

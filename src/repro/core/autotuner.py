@@ -1,23 +1,17 @@
 """Configuration autotuning: search the plan space instead of hand-picking it.
 
-Two layers:
-
-* :func:`tune_keyswitch` -- the paper's Table 8 / Fig. 16 sweep: rank the
-  KLSS ``(dnum, alpha~, WordSize_T)`` grid by KeySwitch time.  The sweep
-  shares one :class:`~repro.core.trace_cache.TraceCache` and the
-  ``kernel_costs`` cache across all grid points and reports the cache hit
-  rates per result.
-
-* :func:`tune_app` -- the multi-dimensional search the ROADMAP asks for:
-  WordSize_T, dnum/alpha~, the key-switch method, the NTT engine
-  (four-step GEMM vs radix-16 vs butterfly) and its execution unit, the
-  BConv unit, fusion, batch-tile and NTT-chunk shapes, and the bootstrap
-  BSGS split -- minimised per (params, app, device) under the hierarchical
-  memory model (:mod:`repro.gpu.memory_model`).  Pruning keeps the Table 5
-  sweep inside CI time: dominated KLSS grid points are eliminated on
-  two-level KeySwitch probes, and engine candidates are only evaluated on
-  the full application when their cheap KeySwitch probe is within a cutoff
-  of the incumbent's.
+:func:`tune_app` is the one search: WordSize_T, dnum/alpha~ (the paper's
+Table 8 / Fig. 16 KLSS grid), the key-switch method, the NTT engine
+(four-step GEMM vs radix-16 vs butterfly) and its execution unit, the
+BConv unit, fusion, batch-tile and NTT-chunk shapes, and the bootstrap
+BSGS split -- minimised per (params, app, device) under the hierarchical
+memory model (:mod:`repro.gpu.memory_model`).  Pruning keeps the Table 5
+sweep inside CI time: dominated KLSS grid points are eliminated on
+two-level KeySwitch probes, and engine candidates are only evaluated on
+the full application when their cheap KeySwitch probe is within a cutoff
+of the incumbent's.  The whole search shares one
+:class:`~repro.core.trace_cache.TraceCache` and the ``kernel_costs``
+cache, and reports their hit counts.
 
 Results are cached in a :class:`TuningStore` keyed by (params, app,
 device, budget, model version); the shared :data:`DEFAULT_TUNING_STORE` is
@@ -28,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ckks.params import KlssConfig, ParameterSet, get_set
 from ..gpu.device import A100, DeviceSpec
@@ -45,120 +39,6 @@ MODEL_VERSION = 1
 #: An engine candidate's KeySwitch probe must be within this factor of the
 #: incumbent's probe to earn a full-application evaluation.
 PROBE_CUTOFF = 1.3
-
-
-# ---------------------------------------------------------------------------
-# KLSS grid sweep (Table 8 / Fig. 16)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TuningResult:
-    """One evaluated configuration of the KLSS grid."""
-
-    dnum: int
-    alpha_tilde: int
-    wordsize_t: int
-    keyswitch_us: float
-    alpha_prime: int
-    #: Kernel-cost/trace cache hits and misses this grid point incurred
-    #: (shared-cache sweeps hit on every shape a previous point priced).
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    def config(self) -> KlssConfig:
-        return KlssConfig(wordsize_t=self.wordsize_t, alpha_tilde=self.alpha_tilde)
-
-
-def tune_keyswitch(
-    base: ParameterSet,
-    level: Optional[int] = None,
-    dnums: Sequence[int] = (3, 4, 6, 9, 12, 18),
-    alpha_tildes: Sequence[int] = (3, 4, 5, 6, 7, 8),
-    wordsizes_t: Sequence[int] = (36, 48, 64),
-    device: DeviceSpec = A100,
-    config: PipelineConfig = NEO_CONFIG,
-    trace_cache: Optional[TraceCache] = None,
-) -> List[TuningResult]:
-    """Exhaustively evaluate the KLSS hyper-parameter grid.
-
-    Returns results sorted fastest-first.  Configurations whose auxiliary
-    basis would be degenerate (``alpha' < 2``) are skipped.
-
-    One :class:`TraceCache` (and the process-wide ``kernel_costs`` cache) are
-    shared across the whole sweep, so a kernel shape two grid points have
-    in common -- e.g. the final ModDown/NTT over the unchanged Q basis --
-    is priced once; each result reports the hits/misses its point saw.
-    """
-    level = base.max_level if level is None else level
-    cache = trace_cache if trace_cache is not None else TraceCache()
-    results: List[TuningResult] = []
-    for dnum in dnums:
-        for alpha_tilde in alpha_tildes:
-            for wordsize_t in wordsizes_t:
-                params = dataclasses.replace(
-                    base,
-                    dnum=dnum,
-                    klss=KlssConfig(
-                        wordsize_t=wordsize_t, alpha_tilde=alpha_tilde
-                    ),
-                )
-                try:
-                    alpha_prime, _, _ = params.klss_dims(level)
-                except ValueError:
-                    continue
-                if alpha_prime < 2:
-                    continue
-                costs0, trace0 = KERNEL_COSTS.stats, cache.stats
-                ctx = NeoContext(
-                    params, device=device, config=config, trace_cache=cache
-                )
-                keyswitch_us = ctx.keyswitch_time_us(level)
-                costs1, trace1 = KERNEL_COSTS.stats, cache.stats
-                results.append(
-                    TuningResult(
-                        dnum=dnum,
-                        alpha_tilde=alpha_tilde,
-                        wordsize_t=wordsize_t,
-                        keyswitch_us=keyswitch_us,
-                        alpha_prime=alpha_prime,
-                        cache_hits=(costs1.hits - costs0.hits)
-                        + (trace1.hits - trace0.hits),
-                        cache_misses=(costs1.misses - costs0.misses)
-                        + (trace1.misses - trace0.misses),
-                    )
-                )
-    if not results:
-        raise ValueError("no admissible configuration in the search grid")
-    return sorted(results, key=lambda r: r.keyswitch_us)
-
-
-def best_configuration(
-    base: ParameterSet, level: Optional[int] = None, **kwargs
-) -> TuningResult:
-    """The fastest configuration of :func:`tune_keyswitch`'s grid."""
-    return tune_keyswitch(base, level=level, **kwargs)[0]
-
-
-def hybrid_vs_best_klss(
-    base: ParameterSet,
-    level: Optional[int] = None,
-    device: DeviceSpec = A100,
-    config: PipelineConfig = NEO_CONFIG,
-) -> Tuple[float, TuningResult]:
-    """(Hybrid KeySwitch time, best KLSS result) for a base set."""
-    level = base.max_level if level is None else level
-    hybrid_ctx = NeoContext(
-        base, device=device, config=config.with_overrides(keyswitch="hybrid")
-    )
-    return hybrid_ctx.keyswitch_time_us(level), best_configuration(
-        base, level=level, device=device, config=config
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ assumption:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..telemetry.stats import Cache
 from .device import A100, DeviceSpec
 from .trace import ExecutionTrace
 
@@ -57,20 +56,12 @@ PCIE4 = Interconnect(name="PCIe4 x16", bandwidth_gbs=32.0, latency_us=15.0)
 #: under limb partitioning.  Everything else is limb-local.
 EXCHANGE_KERNELS = frozenset({"ntt", "intt", "bconv"})
 
-#: Cached G=1 reference times keyed by (device, frozen trace, streams).
-#: ``speedup`` / ``scaling_efficiency`` are called repeatedly on the same
-#: trace during scaling sweeps; the reference device time never changes.
-_SINGLE_GPU_TIMES = Cache("single_gpu_times", maxsize=128)
-
 
 def single_gpu_time_s(
     trace: ExecutionTrace, device: DeviceSpec = A100, streams: int = 8
 ) -> float:
-    """Cached single-device reference time of `trace`."""
-    return _SINGLE_GPU_TIMES.get_or_build(
-        (device, trace.frozen(), streams),
-        lambda: trace.overlapped_time_s(device, streams),
-    )
+    """Single-device reference time of `trace`."""
+    return trace.overlapped_time_s(device, streams)
 
 
 class MultiGpuModel:
@@ -162,7 +153,7 @@ class MultiGpuModel:
         return longer + (1.0 - self.overlap) * shorter
 
     def speedup(self, trace: ExecutionTrace, streams: int = 8) -> float:
-        """Speedup of `gpus` devices over one (cached G=1 reference)."""
+        """Speedup of `gpus` devices over one."""
         single = single_gpu_time_s(trace, self.device, streams)
         return single / self.time_s(trace, streams)
 

@@ -7,19 +7,24 @@ FHE word sizes in the Neo paper are 36-60 bits, whose products overflow
   product of two reduced residues fits in 64 bits, so plain ``%`` works.
 * **barrett** -- ``numpy.uint64`` arrays for moduli in ``[2**31, 2**62)``:
   the 128-bit products are formed with 32-bit limb splitting
-  (``mulhi``/``mullo`` decomposition) and reduced branchlessly with Barrett
-  reduction; multiplications by precomputed constants (NTT twiddles,
-  ``q_hat_inv`` factors) use Shoup's trick instead.  This covers every
-  NTT-friendly word size the paper uses (36/48/60-bit limbs, 61-bit
-  special primes) without ever touching ``dtype=object``.
+  (:func:`mul128`, the ``mulhi``/``mullo`` decomposition) and reduced
+  branchlessly with Barrett reduction; multiplications by precomputed
+  constants (NTT twiddles, ``q_hat_inv`` factors) use Shoup's trick
+  (:func:`shoup_mul_mod`).  This covers every NTT-friendly word size the
+  paper uses (36/48/60-bit limbs, 61-bit special primes) without ever
+  touching ``dtype=object``.  The Barrett multiply itself exists once, in
+  :meth:`~repro.math.modstack.ModulusStack.mul`; :func:`mul_mod` runs it
+  on a one-limb stack.
 * **exact** -- ``dtype=object`` arrays of Python integers, valid for any
   modulus.  Kept as the reference oracle for moduli at or above ``2**62``
   and for the property tests that pin the Barrett backend bit-for-bit.
 
 All functions accept and return numpy arrays and never mutate their inputs.
-The :func:`object_backend` context manager forces moduli at or above the
-fast bound onto the exact backend -- used by the benchmarks to time the
-Barrett backend against the oracle on identical inputs.
+:func:`matmul_mod` and :func:`dot_mod` are the exact reference GEMM: they
+multiply on Python integers for every modulus.  The :func:`object_backend`
+context manager forces moduli at or above the fast bound onto the exact
+backend -- used by the benchmarks to time the Barrett backend against the
+oracle on identical inputs.
 """
 
 from __future__ import annotations
@@ -29,22 +34,18 @@ from typing import Tuple
 
 import numpy as np
 
-from ..telemetry.stats import Cache
-
 #: Largest modulus for which the plain ``uint64`` path is safe: residues are
 #: below ``2**31`` so products stay below ``2**62`` and sums below ``2**63``.
 FAST_MODULUS_BOUND = 1 << 31
 
 #: Largest modulus the Barrett ``uint64`` backend accepts: residues below
-#: ``2**62`` keep ``4q`` inside 64 bits (chunked accumulation) and the
-#: Barrett correction ``r < 3q`` representable.
+#: ``2**62`` keep the Barrett correction ``r < 3q`` representable.
 BARRETT_MODULUS_BOUND = 1 << 62
 
 #: When False, moduli >= ``FAST_MODULUS_BOUND`` fall back to the object
 #: backend (see :func:`object_backend`).
 _BARRETT_ENABLED = True
 
-_U64 = np.uint64
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -135,78 +136,21 @@ def mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mul128(a, b)[0]
 
 
-def mulhi_op32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of ``a * b`` when ``a < 2**32`` (``b`` unrestricted).
-
-    With one 32-bit operand the 128-bit product is ``a*b_hi * 2**32 +
-    a*b_lo`` with both partials fitting ``uint64``, so the high word needs
-    two multiplies instead of four -- the inner-loop win for fast-backend
-    moduli (every residue is below ``2**31``).
-    """
-    lo = (b & _MASK32) * a
-    return ((b >> _SHIFT32) * a + (lo >> _SHIFT32)) >> _SHIFT32
-
-
-# ---------------------------------------------------------------------------
-# Barrett reduction (per-modulus constants)
-# ---------------------------------------------------------------------------
-
-#: modulus -> (q, k-1, 64-(k-1), k+1, 64-(k+1), mu) as uint64 scalars, where
-#: ``k = q.bit_length()`` and ``mu = floor(2**(2k) / q)``.
-_BARRETT = Cache("barrett", maxsize=256)
-
-
-def _barrett_constants(modulus: int) -> Tuple[np.uint64, ...]:
-    return _BARRETT.get_or_build(modulus, lambda: _build_barrett_constants(modulus))
-
-
-def _build_barrett_constants(modulus: int) -> Tuple[np.uint64, ...]:
-    k = int(modulus).bit_length()
-    mu = (1 << (2 * k)) // modulus
-    return (
-        np.uint64(modulus),
-        np.uint64(k - 1),
-        np.uint64(64 - (k - 1)),
-        np.uint64(k + 1),
-        np.uint64(64 - (k + 1)),
-        np.uint64(mu),
-    )
-
-
-def barrett_mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """``(a * b) mod modulus`` for reduced ``uint64`` inputs, ``q < 2**62``.
-
-    Classic Barrett reduction (HAC 14.42 with ``b = 2``): the quotient
-    estimate is off by at most 2, so two conditional subtractions finish
-    the reduction -- branchless on a GPU and two ``np.where`` here.
-    """
-    q, s_lo, s_lo_c, s_hi, s_hi_c, mu = _barrett_constants(modulus)
-    hi, lo = mul128(a, b)
-    approx = (hi << s_lo_c) | (lo >> s_lo)  # x >> (k-1), fits 64 bits
-    q2_hi, q2_lo = mul128(approx, mu)
-    quot = (q2_hi << s_hi_c) | (q2_lo >> s_hi)  # estimate of x // q
-    r = lo - quot * q  # mod 2**64; true remainder < 3q < 2**64
-    r = np.where(r >= q, r - q, r)
-    return np.where(r >= q, r - q, r)
-
-
 def shoup_precompute(w: int, modulus: int) -> int:
     """Shoup constant ``floor(w * 2**64 / q)`` for a fixed multiplicand."""
     return (int(w) << 64) // int(modulus)
 
 
-def shoup_mul_mod(a: np.ndarray, w, w_shoup, q, operand32: bool = False) -> np.ndarray:
+def shoup_mul_mod(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
     """``(a * w) mod q`` with per-twiddle precomputation (Shoup's trick).
 
     ``w`` must be reduced mod ``q`` and ``w_shoup = floor(w * 2**64 / q)``;
     both may be scalars or arrays broadcastable against ``a`` (the NTT
     passes whole twiddle columns).  One ``mulhi`` + two ``mullo`` + one
     conditional subtraction -- cheaper than full Barrett when the
-    multiplicand is known in advance.  Pass ``operand32=True`` when every
-    element of `a` is below ``2**32`` (fast-backend residues) to use the
-    two-multiply :func:`mulhi_op32`.
+    multiplicand is known in advance.
     """
-    quot = mulhi_op32(a, w_shoup) if operand32 else mulhi(a, w_shoup)
+    quot = mulhi(a, w_shoup)
     r = a * w - quot * q  # mod 2**64; true remainder < 2q
     return np.where(r >= q, r - q, r)
 
@@ -294,11 +238,16 @@ def neg_mod(a: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Element-wise ``(a * b) mod modulus`` for reduced inputs."""
-    if uses_fast_backend(modulus):
-        return (_native_operand(a) * _native_operand(b)) % np.uint64(modulus)
-    if uses_barrett_backend(modulus):
-        return barrett_mul_mod(_native_operand(a), _native_operand(b), modulus)
+    """Element-wise ``(a * b) mod modulus`` for reduced inputs.
+
+    A native modulus runs the one-limb stack's multiply: one ``uint64``
+    product below ``2**31``, Barrett above.
+    """
+    if uses_native_backend(modulus):
+        from .modstack import ModulusStack  # modstack imports this module
+
+        a, b = np.broadcast_arrays(_native_operand(a), _native_operand(b))
+        return ModulusStack.for_moduli((modulus,)).mul(a, b).reshape(a.shape)
     return (a * b) % modulus
 
 
@@ -321,74 +270,25 @@ def scalar_mul_mod(a: np.ndarray, scalar: int, modulus: int) -> np.ndarray:
 # Modular GEMM / GEMV
 # ---------------------------------------------------------------------------
 
-#: How many reduced products can join a ``< q`` accumulator without
-#: overflowing 64 bits: ``q + 3 * q <= 4 * (2**62 - 1) < 2**64``.
-_ACC_CHUNK = 3
-
-
-def _native_matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Stacked modular matmul over ``uint64`` without bignum round trips.
-
-    ``a`` is ``(..., m, k)`` and ``b`` ``(..., k, n)`` with broadcastable
-    leading axes.  Partial products are reduced (Barrett for wide moduli),
-    then accumulated three at a time before folding back under ``q`` --
-    the numpy analogue of register-blocked modular accumulation.
-    """
-    a = _native_operand(a)
-    b = _native_operand(b)
-    if a.ndim == 1 and b.ndim == 1:
-        return _native_matmul_mod(a[None, :], b[:, None], modulus)[0, 0]
-    if a.ndim == 1:
-        return _native_matmul_mod(a[None, :], b, modulus)[..., 0, :]
-    if b.ndim == 1:
-        return _native_matmul_mod(a, b[:, None], modulus)[..., 0]
-    k_dim = a.shape[-1]
-    if b.shape[-2] != k_dim:
-        raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
-    q = np.uint64(modulus)
-    small = modulus < FAST_MODULUS_BOUND
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=np.uint64)
-    for start in range(0, k_dim, _ACC_CHUNK):
-        stop = min(start + _ACC_CHUNK, k_dim)
-        blk_a = a[..., :, start:stop, None]  # (..., m, c, 1)
-        blk_b = b[..., None, start:stop, :]  # (..., 1, c, n)
-        if small:
-            part = blk_a * blk_b  # < 2**62 each
-        else:
-            part = barrett_mul_mod(blk_a, blk_b, modulus)
-        out = (out + part.sum(axis=-2, dtype=np.uint64)) % q
-    return out
-
 
 def dot_mod(matrix: np.ndarray, vector: np.ndarray, modulus: int) -> np.ndarray:
-    """Matrix-vector product modulo `modulus` (exact in every backend)."""
-    if uses_native_backend(modulus):
-        m = np.asarray(matrix)
-        v = np.asarray(vector)
-        if m.dtype != object and v.dtype != object:
-            return _native_matmul_mod(m, v[..., None], modulus)[..., 0]
-    return (
-        np.asarray(matrix, dtype=object) @ np.asarray(vector, dtype=object)
-    ) % modulus
+    """Matrix-vector product modulo `modulus` (exact, see :func:`matmul_mod`).
+
+    `vector` may carry leading batch axes: ``(..., k)`` against ``(m, k)``.
+    """
+    return matmul_mod(matrix, np.asarray(vector)[..., None], modulus)[..., 0]
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Matrix product ``(a @ b) mod modulus`` computed exactly.
 
-    Wide moduli below ``2**62`` run through the Barrett GEMM; anything
-    larger (or object-dtype input) accumulates with exact Python integers.
-    Either way the result is exact -- this is the *reference* GEMM against
-    which the tensor-core emulations and the NTT engines are checked
-    (:func:`~repro.gpu.tensorcore.reference_gemm_mod`,
+    Every modulus accumulates on exact Python integers, and a native
+    modulus casts the reduced result back to ``uint64``.  This is the
+    *reference* GEMM against which the tensor-core emulations and the NTT
+    engines are checked (:func:`~repro.gpu.tensorcore.reference_gemm_mod`,
     :func:`~repro.math.ntt.natural_order_negacyclic`); ``bench/layers.py``
     attributes its time to ``math.modarith`` by name.
     """
-    if uses_native_backend(modulus):
-        a_arr = np.asarray(a)
-        b_arr = np.asarray(b)
-        if a_arr.dtype != object and b_arr.dtype != object:
-            return _native_matmul_mod(a_arr, b_arr, modulus)
     product = np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
     reduced = product % modulus
     if uses_native_backend(modulus):

@@ -89,8 +89,6 @@ class NttPlan:
         self.psi = root_of_unity(2 * degree, modulus)
         self.psi_inv = modarith.inv_mod(self.psi, modulus)
         self.degree_inv = modarith.inv_mod(degree, modulus)
-        #: Residues below ``2**31`` admit the two-multiply ``mulhi_op32``.
-        self._op32 = self.native and modulus < 2**31
         rev = _bit_reverse_permutation(degree)
         powers = self._power_table(self.psi)
         inv_powers = self._power_table(self.psi_inv)
@@ -152,7 +150,7 @@ class NttPlan:
             hi = blocks[..., t:]
             w = self._psi_rev[m : 2 * m].reshape((m, 1))
             w_shoup = self._psi_rev_shoup[m : 2 * m].reshape((m, 1))
-            v = modarith.shoup_mul_mod(hi, w, w_shoup, q, operand32=self._op32)
+            v = modarith.shoup_mul_mod(hi, w, w_shoup, q)
             s = lo + v
             d = lo + (q - v)
             blocks[..., :t] = np.where(s >= q, s - q, s)
@@ -207,14 +205,10 @@ class NttPlan:
             w = self._psi_inv_rev[h : 2 * h].reshape((h, 1))
             w_shoup = self._psi_inv_rev_shoup[h : 2 * h].reshape((h, 1))
             blocks[..., :t] = np.where(s >= q, s - q, s)
-            blocks[..., t:] = modarith.shoup_mul_mod(
-                diff, w, w_shoup, q, operand32=self._op32
-            )
+            blocks[..., t:] = modarith.shoup_mul_mod(diff, w, w_shoup, q)
             t *= 2
             m = h
-        return modarith.shoup_mul_mod(
-            a, self._n_inv, self._n_inv_shoup, q, operand32=self._op32
-        )
+        return modarith.shoup_mul_mod(a, self._n_inv, self._n_inv_shoup, q)
 
     def _inverse_object(self, a: np.ndarray) -> np.ndarray:
         """Reference GS stages on exact Python integers (per-block loop)."""

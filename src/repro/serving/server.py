@@ -49,9 +49,9 @@ QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 MAX_KERNEL_SPANS = 64
 
 #: Process-wide kernel-span descriptor cache.  The simulated kernel
-#: placement is a pure function of (params, config, app, size, streams),
-#: so fresh Server instances share already-simulated shapes -- keeps
-#: first-drain telemetry cost flat across servers.
+#: placement is a pure function of (params, config, device, app, size,
+#: streams), so fresh Server instances share already-simulated shapes --
+#: keeps first-drain telemetry cost flat across servers.
 _SPAN_DESCRIPTORS = Cache("span_descriptors", maxsize=1024)
 
 
@@ -204,7 +204,7 @@ class NeoServiceModel:
             return (descriptors, len(result.timeline))
 
         return _SPAN_DESCRIPTORS.get_or_build(
-            (root.params, root.config, app, size, streams), build
+            (root.params, root.config, root.device, app, size, streams), build
         )
 
     def noise_trajectory(self, app: str):

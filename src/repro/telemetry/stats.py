@@ -1,15 +1,14 @@
 """One cache layer for every process-wide memo.
 
 Every long-lived memo in the process -- NTT plans and stacks, modulus
-stacks, BConv tables, automorphism maps, Barrett constants, key-switch op
-plans, modeled traces, kernel costs, tuned configurations, single-GPU
-reference times and kernel-span descriptors -- is a :class:`Cache`: LRU,
-bounded, and counted in one :class:`CacheStats` vocabulary.  A cache
-constructed with a name registers itself here, so observability consumers
-(the metrics registry, :class:`ServingReport`, the ``repro metrics`` CLI)
-enumerate every cache through :func:`all_cache_stats` without knowing
-which subsystem owns which, and :func:`clear_caches` empties all of them
-for cold-cache measurements.
+stacks, BConv tables, automorphism maps, key-switch op plans, modeled
+traces, kernel costs, tuned configurations and kernel-span descriptors --
+is a :class:`Cache`: LRU, bounded, and counted in one :class:`CacheStats`
+vocabulary.  A cache constructed with a name registers itself here, so
+observability consumers (the metrics registry, :class:`ServingReport`, the
+``repro metrics`` CLI) enumerate every cache through
+:func:`all_cache_stats` without knowing which subsystem owns which, and
+:func:`clear_caches` empties all of them for cold-cache measurements.
 
 This module sits below every other layer (stdlib only), so ``math`` --
 which cannot import ``core`` -- and ``core`` both import it freely.

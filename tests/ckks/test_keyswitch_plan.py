@@ -93,6 +93,36 @@ class TestStaleCacheRegression:
         assert key_a is not key_b
 
 
+class TestOneKeyCopy:
+    """The plan stores its key once: the per-digit polynomials the
+    reference reads are views of the stacked ``evk`` tensor."""
+
+    def test_hybrid_key_pairs_view_evk(self):
+        params, ksk = _key_and_params()
+        ks_plan = plan.get_keyswitch_plan(ksk, params, params.max_level, "hybrid")
+        pairs = ks_plan.key_pairs
+        assert len(pairs) == ks_plan.beta
+        for j, pair in enumerate(pairs):
+            for c, poly in enumerate(pair):
+                assert poly.is_ntt
+                assert np.shares_memory(poly.stack, ks_plan.evk)
+                assert np.array_equal(poly.stack, ks_plan.evk[:, c, j])
+
+    def test_klss_digit_pairs_view_evk(self):
+        params, ksk = _key_and_params()
+        ks_plan = plan.get_keyswitch_plan(ksk, params, params.max_level, "klss")
+        digits = ks_plan.klss_key.digit_pairs
+        assert len(digits) == ks_plan.beta_tilde
+        for i, row in enumerate(digits):
+            assert len(row) == ks_plan.beta
+            for j, pair in enumerate(row):
+                for c, poly in enumerate(pair):
+                    assert poly.is_ntt
+                    assert poly.basis == ks_plan.t_basis
+                    assert np.shares_memory(poly.stack, ks_plan.evk)
+                    assert np.array_equal(poly.stack, ks_plan.evk[:, i, c, j])
+
+
 class TestCacheStats:
     def test_hit_miss_accounting(self):
         params, ksk = _key_and_params()

@@ -33,8 +33,9 @@ from repro.ckks import reference
 from repro.ckks.bootstrap import Bootstrapper
 from repro.ckks.hoisting import hoisted_rotations
 from repro.ckks.keys import conjugation_galois_power, sample_uniform
-from repro.ckks.keyswitch import hybrid, klss
+from repro.ckks.keyswitch import hybrid, klss, plan as ksplan
 from repro.ckks.linear_transform import LinearTransform
+from repro.math.polynomial import RnsPolynomial
 
 from .conftest import random_slots
 
@@ -86,6 +87,26 @@ class TestKeySwitch:
             ENGINES[method].keyswitch(poly, relin, params),
             reference.keyswitch(poly, relin, params, method),
         )
+
+    @pytest.mark.parametrize("method", ["hybrid", "klss"])
+    @pytest.mark.parametrize("level", [0, 1, "max"])
+    def test_batched_plan_matches_loop(self, params, keyset, rng, method, level):
+        """An ``(L, 3, N)`` batch rides one GEMM key switch; every batch
+        row equals the reference key switch of that row alone."""
+        level = params.max_level if level == "max" else level
+        basis = params.q_basis(level)
+        rows = [sample_uniform(params.degree, basis, rng) for _ in range(3)]
+        batch = RnsPolynomial(
+            params.degree, basis, np.stack([r.stack for r in rows], axis=1)
+        )
+        relin = keyset["relin"]
+        ks_plan = ksplan.get_keyswitch_plan(relin, params, level, method)
+        got = ksplan.gemm_keyswitch(batch, ks_plan)
+        for i, row in enumerate(rows):
+            want = reference.keyswitch(row, relin, params, method)
+            for g, w in zip(got, want):
+                assert g.basis == w.basis
+                assert np.array_equal(g.stack[:, i], w.from_ntt().stack)
 
     @pytest.mark.parametrize(
         "params",

@@ -1,104 +1,17 @@
-"""Tests for the KLSS parameter autotuner and the plan-space search."""
-
-import dataclasses
+"""Tests for the plan-space search and the tuning store."""
 
 import pytest
 
 from repro.ckks.params import get_set
-from repro.core import NeoContext, TraceCache
 from repro.core.autotuner import (
     BUDGETS,
     MODEL_VERSION,
     TunedConfig,
     TuningReport,
-    TuningResult,
     TuningStore,
-    best_configuration,
-    hybrid_vs_best_klss,
     tune_app,
-    tune_keyswitch,
 )
 from repro.gpu.device import A100, H100, L4
-from repro.telemetry.stats import clear_caches
-
-
-@pytest.fixture(scope="module")
-def results():
-    return tune_keyswitch(
-        get_set("B"),
-        dnums=(4, 6, 9, 12),
-        alpha_tildes=(4, 5, 6),
-        wordsizes_t=(36, 48, 64),
-    )
-
-
-class TestTuner:
-    def test_sorted_fastest_first(self, results):
-        times = [r.keyswitch_us for r in results]
-        assert times == sorted(times)
-
-    def test_grid_coverage(self, results):
-        combos = {(r.dnum, r.alpha_tilde, r.wordsize_t) for r in results}
-        assert len(combos) == len(results)
-        assert len(results) >= 30  # most of the 36-cell grid is admissible
-
-    def test_best_near_paper_optimum(self, results):
-        """The winner lands near the paper's (dnum=9, alpha~=5, WST=48)."""
-        best = results[0]
-        # The grid optimum is mid-dnum and never WordSize_T = 64 (Booth-heavy);
-        # the very top cell can tie between 36 and 48 within a few percent.
-        assert best.wordsize_t in (36, 48)
-        assert best.dnum in (6, 9, 12)
-        paper_pick = [
-            r for r in results
-            if (r.dnum, r.alpha_tilde, r.wordsize_t) == (9, 5, 48)
-        ][0]
-        assert paper_pick.keyswitch_us <= 1.15 * best.keyswitch_us
-
-    def test_best_configuration_helper(self):
-        best = best_configuration(
-            get_set("B"), dnums=(6, 9), alpha_tildes=(5,), wordsizes_t=(48,)
-        )
-        assert isinstance(best, TuningResult)
-        assert best.config().wordsize_t == 48
-
-    def test_alpha_prime_recorded(self, results):
-        for r in results:
-            assert r.alpha_prime >= 2
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            tune_keyswitch(get_set("B"), dnums=(), alpha_tildes=(5,))
-
-    def test_hybrid_vs_best_klss(self):
-        hybrid_us, best = hybrid_vs_best_klss(get_set("B"))
-        # The paper's central claim: well-tuned KLSS beats Hybrid.
-        assert best.keyswitch_us < hybrid_us
-
-
-SMALL_GRID = dict(dnums=(6, 9), alpha_tildes=(4, 5), wordsizes_t=(48,))
-
-
-class TestSharedCacheSweep:
-    def test_warm_sweep_reports_cache_hits(self):
-        clear_caches()
-        results = tune_keyswitch(get_set("B"), **SMALL_GRID)
-        # The grid points share the plan/trace caches: after the first
-        # point warms them, subsequent points hit.
-        assert sum(r.cache_hits for r in results) > 0
-        assert 0.0 <= results[0].cache_hit_rate <= 1.0
-
-    def test_cold_and_warm_agree_on_times(self):
-        """Cache sharing is a speed-up, not a semantic change: every point
-        priced from empty caches gets the shared sweep's time."""
-        base = get_set("B")
-        for r in tune_keyswitch(base, **SMALL_GRID):
-            params = dataclasses.replace(base, dnum=r.dnum, klss=r.config())
-            clear_caches()
-            cold = NeoContext(params, trace_cache=TraceCache(maxsize=0))
-            assert cold.keyswitch_time_us(base.max_level) == pytest.approx(
-                r.keyswitch_us
-            )
 
 
 @pytest.fixture(scope="module")

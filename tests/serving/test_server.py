@@ -9,13 +9,16 @@ import json
 
 import pytest
 
+from repro.gpu.device import A100, H100
 from repro.serving import (
     FixedServiceModel,
+    NeoServiceModel,
     Request,
     Server,
     parse_workload_spec,
     synthesize_arrivals,
 )
+from repro.telemetry.stats import clear_caches
 
 #: Batch service time grows sub-linearly in BatchSize -- the Fig. 17 shape
 #: that makes batching profitable (batch 4 costs 2x batch 1, not 4x).
@@ -230,3 +233,16 @@ class TestRealModel:
             "replayed batch shapes must hit the shared trace cache"
         )
         assert replay.fingerprint() == report.fingerprint()
+
+    @pytest.mark.parametrize("device", [H100, A100.hier()], ids=["h100", "a100-hier"])
+    def test_kernel_spans_follow_the_device(self, device):
+        """Span descriptors of one shape on two devices never alias: a
+        model built after an A100 model in the same process gets the spans
+        a fresh process computes for its own device."""
+        clear_caches()
+        fresh = NeoServiceModel("C", device=device).batch_spans("helr", 8, 4)
+        clear_caches()
+        a100 = NeoServiceModel("C", device=A100).batch_spans("helr", 8, 4)
+        after = NeoServiceModel("C", device=device).batch_spans("helr", 8, 4)
+        assert fresh != a100
+        assert after == fresh

@@ -24,7 +24,6 @@ from repro.ckks.params import small_test_parameters
 from repro.core import NeoContext, bconv_cost, ip_cost, ntt_cost
 from repro.core.autotuner import DEFAULT_TUNING_STORE
 from repro.gpu.device import A100
-from repro.gpu.multi_gpu import single_gpu_time_s
 from repro.math import modarith
 from repro.math.modstack import ModulusStack
 from repro.math.ntt import get_stack
@@ -117,7 +116,12 @@ def _ntt_stacks(inp):
 def _modstacks(inp):
     mstack = ModulusStack.for_moduli(inp.moduli)
     a, b = inp.limbs(inp.moduli), inp.limbs(inp.moduli, 1)
-    return mstack.mul(a, b), mstack.add(a, b)
+    q = inp.barrett  # mul_mod runs the one-limb stack of a native modulus
+    return (
+        mstack.mul(a, b),
+        mstack.add(a, b),
+        modarith.mul_mod(inp.residues(q), inp.residues(q, 1), q),
+    )
 
 
 def _bconv_tables(inp):
@@ -133,18 +137,12 @@ def _automorphisms(inp):
     )
 
 
-def _barrett(inp):
-    q = inp.barrett
-    return modarith.mul_mod(inp.residues(q), inp.residues(q, 1), q)
-
-
 MATH_CASES = {
     "ntt_plans": _ntt_plans,
     "ntt_stacks": _ntt_stacks,
     "modstacks": _modstacks,
     "bconv_tables": _bconv_tables,
     "automorphisms": _automorphisms,
-    "barrett": _barrett,
 }
 
 #: A native-backend draw that reaches every math cache.
@@ -196,11 +194,6 @@ def _autotune_store():
     return dataclasses.replace(report, cache_hits=0, cache_misses=0)
 
 
-def _single_gpu_times():
-    trace = NeoContext("C").operation_trace("hmult", 35)
-    return single_gpu_time_s(trace), single_gpu_time_s(trace, streams=4)
-
-
 def _span_descriptors():
     return NeoServiceModel("C").batch_spans("helr", 8, 4)
 
@@ -210,7 +203,6 @@ MODEL_CASES = {
     "trace_cache": _trace_cache,
     "kernel_costs": _kernel_costs,
     "autotune_store": _autotune_store,
-    "single_gpu_times": _single_gpu_times,
     "span_descriptors": _span_descriptors,
 }
 
