@@ -19,13 +19,19 @@ from .params import CkksParameters
 
 
 class Plaintext:
-    """An encoded message: an integer polynomial plus its scale."""
+    """An encoded message: an integer polynomial plus its scale.
 
-    __slots__ = ("poly", "scale")
+    ``is_constant`` is True only when the encoder saw every coefficient but
+    the first round to zero: the polynomial is then the constant
+    ``poly.stack[:, 0]``, and a PMULT by it is a scalar product per limb.
+    """
 
-    def __init__(self, poly: RnsPolynomial, scale: float):
+    __slots__ = ("poly", "scale", "is_constant")
+
+    def __init__(self, poly: RnsPolynomial, scale: float, is_constant: bool = False):
         self.poly = poly
         self.scale = scale
+        self.is_constant = is_constant
 
     @property
     def level(self) -> int:
@@ -111,7 +117,7 @@ class CkksEncoder:
         coeffs = self.embed(np.atleast_1d(np.asarray(values)), scale)
         basis = self.params.q_basis(level)
         poly = RnsPolynomial.from_int_coeffs(coeffs, self.degree, basis)
-        return Plaintext(poly, scale)
+        return Plaintext(poly, scale, is_constant=not np.any(coeffs[1:]))
 
     def decode(self, plaintext: Plaintext) -> np.ndarray:
         """Decode a plaintext back to its complex slot values."""

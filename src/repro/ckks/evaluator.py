@@ -142,13 +142,14 @@ class Evaluator:
         return self._observe("sub", (ct0, ct1), out)
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
-        return Ciphertext(
+        out = Ciphertext(
             ct.c0.negate(),
             ct.c1.negate(),
             ct.scale,
             ct.params,
             None if ct.c2 is None else ct.c2.negate(),
         )
+        return self._observe("negate", (ct,), out)
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """PADD: plaintext + ciphertext (noise-free, no key material)."""
@@ -173,13 +174,24 @@ class Evaluator:
     # -- multiplicative ops ---------------------------------------------------------------
 
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        """PMULT: plaintext * ciphertext (no KeySwitch; Section 2.1)."""
+        """PMULT: plaintext * ciphertext (no KeySwitch; Section 2.1).
+
+        A constant plaintext (:attr:`Plaintext.is_constant`) multiplies
+        each limb by its residue there: the negacyclic product by a
+        constant polynomial is exactly that scalar product, so no NTT runs.
+        """
         self._require_relinearised(ct, "multiply_plain")
         if pt.level < ct.level:
             raise ValueError("plaintext encoded at a lower level than ciphertext")
-        pt_poly = pt.poly.keep_limbs(ct.level + 1).to_ntt()
-        c0 = ct.c0.to_ntt().multiply(pt_poly).from_ntt()
-        c1 = ct.c1.to_ntt().multiply(pt_poly).from_ntt()
+        pt_poly = pt.poly.keep_limbs(ct.level + 1)
+        if pt.is_constant:
+            residues = pt_poly.stack[:, 0]
+            c0 = ct.c0.from_ntt().multiply_scalar_per_limb(residues)
+            c1 = ct.c1.from_ntt().multiply_scalar_per_limb(residues)
+        else:
+            pt_poly = pt_poly.to_ntt()
+            c0 = ct.c0.to_ntt().multiply(pt_poly).from_ntt()
+            c1 = ct.c1.to_ntt().multiply(pt_poly).from_ntt()
         out = Ciphertext(c0, c1, ct.scale * pt.scale, ct.params)
         return self._observe("multiply_plain", (ct,), out)
 

@@ -148,11 +148,12 @@ def shoup_mul_mod(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
     both may be scalars or arrays broadcastable against ``a`` (the NTT
     passes whole twiddle columns).  One ``mulhi`` + two ``mullo`` + one
     conditional subtraction -- cheaper than full Barrett when the
-    multiplicand is known in advance.
+    multiplicand is known in advance.  The subtraction wraps below zero,
+    so the smaller of ``r`` and ``r - q`` is the residue.
     """
     quot = mulhi(a, w_shoup)
     r = a * w - quot * q  # mod 2**64; true remainder < 2q
-    return np.where(r >= q, r - q, r)
+    return np.minimum(r, r - q)
 
 
 # ---------------------------------------------------------------------------

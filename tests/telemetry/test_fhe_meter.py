@@ -102,6 +102,24 @@ class TestFheMeter:
         finally:
             evaluator.observer = None
 
+    def test_negate_keeps_the_bound_and_lineage(self, params, setup):
+        encoder, encryptor, evaluator = setup
+        meter = FheMeter(params, registry=MetricsRegistry(enabled=True))
+        evaluator.observer = meter
+        try:
+            ct = _fresh_ct(encoder, encryptor)
+            meter.track(ct)
+            for _ in range(2):
+                ct = evaluator.rescale(evaluator.multiply(ct, ct))
+            negated = evaluator.negate(ct)
+            assert meter.estimate(ct).bits > meter.estimator.fresh().bits
+            assert meter.estimate(negated).bits == meter.estimate(ct).bits
+            ops = [p.op for p in meter.trajectory(negated)]
+            assert ops == [p.op for p in meter.trajectory(ct)] + ["negate"]
+            assert len(ops) == 8
+        finally:
+            evaluator.observer = None
+
     def test_estimate_defaults_to_fresh_for_untracked(self, params):
         meter = FheMeter(params, registry=MetricsRegistry(enabled=True))
         assert meter.estimate(object()).bits == meter.estimator.fresh().bits
