@@ -25,10 +25,11 @@ from .encryptor import Decryptor, Encryptor
 
 def _stack_polys(polys: Sequence[RnsPolynomial]) -> RnsPolynomial:
     # Insert the batch axis right after the limb axis, keeping the native
-    # residue dtype: (L, N) x B -> (L, B, N) in one copy.
+    # residue dtype: (L, N) x B -> (L, B, N) in one copy.  The members are
+    # reduced already, so the stack is wrapped, not reduced again.
     first = polys[0]
     stack = np.stack([p.stack for p in polys], axis=1)
-    return RnsPolynomial(first.degree, first.basis, stack, first.is_ntt)
+    return RnsPolynomial._wrap(first.degree, first.basis, stack, first.is_ntt)
 
 
 def _unstack_poly(poly: RnsPolynomial) -> List[RnsPolynomial]:
@@ -36,7 +37,7 @@ def _unstack_poly(poly: RnsPolynomial) -> List[RnsPolynomial]:
     if len(batch) != 1:
         raise ValueError(f"expected one batch axis, got shape {batch}")
     return [
-        RnsPolynomial(poly.degree, poly.basis, poly.stack[:, i], poly.is_ntt)
+        RnsPolynomial._wrap(poly.degree, poly.basis, poly.stack[:, i], poly.is_ntt)
         for i in range(batch[0])
     ]
 

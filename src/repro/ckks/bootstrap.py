@@ -7,13 +7,18 @@ the paper benchmarks:
    it now decrypts to ``m + q0 * I`` for a small integer polynomial ``I``
    (bounded by the secret's Hamming weight).
 2. **CoeffToSlot** -- homomorphic inverse embedding: four linear
-   transforms + conjugations move the *coefficients* (divided by ``q0``)
-   into the slots of two ciphertexts.
+   transforms + a conjugation move the *coefficients* (divided by ``q0``)
+   into the slots of two ciphertexts, the lo and hi halves.  The four run
+   as two stacked transforms, one per input (the ciphertext and its
+   conjugate), each holding that input's lo and hi matrices.
 3. **EvalMod** -- a Chebyshev approximation of ``sin(2*pi*u)/(2*pi)``
-   removes the integer part ``I`` slot-wise.
+   removes the integer part ``I`` slot-wise.  Both halves run as one
+   batched ``(L, 2, N)`` ciphertext, so EvalMod runs once per bootstrap,
+   as ``PackBootstrap.schedule`` prices it.
 4. **SlotToCoeff** -- the forward embedding returns the cleaned
    coefficients to coefficient positions, recovering an encryption of the
-   original message at a *higher* level.
+   original message at a *higher* level.  It stays two transforms: a
+   batched input would need batched hoisting.
 
 The implementation is exact CKKS (no shortcuts through the secret key);
 precision at demo parameters is limited by the degree-``eval_degree``
@@ -26,7 +31,8 @@ Every stage rides the evaluator's key-switch method (``"hybrid"`` or
 :class:`~repro.ckks.linear_transform.LinearTransformPlan` objects (hoisted
 baby rotations, batched giant steps, rescale folded into the accumulation
 epilogue) and EvalMod's Paterson-Stockmeyer chunks replay cached
-constants.  Golden limb digests of every stage pin the output
+constants.  Batching changes no limb: each batch item runs the same exact
+arithmetic as alone.  Golden limb digests of every stage pin the output
 (``tests/fixtures/golden_bootstrap_digests.json``).
 """
 
@@ -37,10 +43,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from .batched import stack_ciphertexts, unstack_ciphertext
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder
 from .evaluator import Evaluator
-from .linear_transform import LinearTransform
+from .linear_transform import LinearTransform, rotation_keys_for
 from .params import CkksParameters
 from .poly_eval import PolynomialEvaluator, chebyshev_coefficients
 from ..math.polynomial import RnsPolynomial
@@ -100,17 +107,16 @@ class Bootstrapper:
         m = np.block([[e0, e1], [np.conj(e0), np.conj(e1)]])
         p = np.linalg.inv(m)
         f = self.params.scale / self.q0  # Delta / q0
-        self._cts = [
-            # (matrix on ct, matrix on conj(ct)) for c_lo and c_hi slots
-            (
-                LinearTransform(encoder, f * p[:slots, :slots]),
-                LinearTransform(encoder, f * p[:slots, slots:]),
+        #: (stack on ct, stack on conj(ct)); item 0 of each feeds c_lo's
+        #: slots and item 1 c_hi's.
+        self._cts = (
+            LinearTransform(
+                encoder, f * np.stack([p[:slots, :slots], p[slots:, :slots]])
             ),
-            (
-                LinearTransform(encoder, f * p[slots:, :slots]),
-                LinearTransform(encoder, f * p[slots:, slots:]),
+            LinearTransform(
+                encoder, f * np.stack([p[:slots, slots:], p[slots:, slots:]])
             ),
-        ]
+        )
         g = self.q0 / self.params.scale  # q0 / Delta
         self._stc = (
             LinearTransform(encoder, g * e0),
@@ -119,13 +125,7 @@ class Bootstrapper:
 
     def required_rotations(self) -> List[int]:
         """Rotation steps the Galois keys must cover (plus conjugation)."""
-        steps = set()
-        for pair in self._cts:
-            for lt in pair:
-                steps.update(lt.required_rotations())
-        for lt in self._stc:
-            steps.update(lt.required_rotations())
-        return sorted(steps)
+        return rotation_keys_for([*self._cts, *self._stc])
 
     # -- pipeline stages -----------------------------------------------------------
 
@@ -152,17 +152,23 @@ class Bootstrapper:
         )
 
     def coeff_to_slot(self, ct: Ciphertext):
-        """Slots of the two outputs hold ``(c_i + q0*I_i) / q0``."""
+        """Slots of the two outputs hold ``(c_i + q0*I_i) / q0``.
+
+        One stacked transform per input computes both halves from one set
+        of baby rotations; the two stacked results add into the pair.
+        """
         ev = self.evaluator
-        conj = ev.conjugate(ct)
-        outputs = []
-        for lt_z, lt_conj in self._cts:
-            part = ev.add(lt_z.apply(ev, ct), lt_conj.apply(ev, conj))
-            outputs.append(part)
-        return outputs[0], outputs[1]
+        lt_z, lt_conj = self._cts
+        pair = ev.add(lt_z.apply(ev, ct), lt_conj.apply(ev, ev.conjugate(ct)))
+        u_lo, u_hi = unstack_ciphertext(pair)
+        return u_lo, u_hi
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:
-        """Remove the integer part: ``u -> sin(2 pi u) / (2 pi) ~ u - I``."""
+        """Remove the integer part: ``u -> sin(2 pi u) / (2 pi) ~ u - I``.
+
+        A batched ciphertext (both CoeffToSlot halves) runs every step
+        once for all its items.
+        """
         return self.poly_eval.evaluate(ct, self.sine_coeffs)
 
     def slot_to_coeff(self, ct_lo: Ciphertext, ct_hi: Ciphertext) -> Ciphertext:
@@ -183,8 +189,9 @@ class Bootstrapper:
             with _span("bootstrap.coeff_to_slot", category="bootstrap"):
                 u_lo, u_hi = self.coeff_to_slot(raised)
             with _span("bootstrap.eval_mod", category="bootstrap"):
-                w_lo = self.eval_mod(u_lo)
-                w_hi = self.eval_mod(u_hi)
+                w_lo, w_hi = unstack_ciphertext(
+                    self.eval_mod(stack_ciphertexts([u_lo, u_hi]))
+                )
             with _span("bootstrap.slot_to_coeff", category="bootstrap"):
                 refreshed = self.slot_to_coeff(w_lo, w_hi)
         if refreshed.level <= 0:

@@ -327,14 +327,13 @@ class Evaluator:
                 f"chain; got {poly.basis!r}"
             )
         from ..math.modstack import ModulusStack
-        from ..math.rns import RnsBasis
 
         if count == 1:
             # A single dropped limb IS the tail value -- no CRT compose.
             tail_value = poly.limbs[keep]
         else:
-            tail_basis = RnsBasis(poly.basis.moduli[keep:])
+            tail_basis = poly.basis.subbasis(keep, len(poly.basis))
             tail_value = tail_basis.compose(poly.limbs[keep:])
         mstack = ModulusStack.for_moduli(keep_basis.moduli)
         scaled = mstack.divide_exact_drop(poly.stack[:keep], tail_value, drop_product)
-        return RnsPolynomial(poly.degree, keep_basis, scaled, is_ntt=False)
+        return RnsPolynomial._wrap(poly.degree, keep_basis, scaled, False)

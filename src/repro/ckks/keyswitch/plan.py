@@ -650,8 +650,9 @@ def _gather_rotations(
 def _gather_itemwise(
     stack: np.ndarray, rplan: HoistedRotationPlan, mstack: ModulusStack
 ) -> np.ndarray:
-    """Automorphism ``i`` applied to batch item ``i`` of a ``(L, k, N)`` stack."""
-    rot = np.take_along_axis(stack, rplan.src[None, ...], axis=-1)
+    """Automorphism ``i`` applied to item ``i`` of a ``(L, ..., k, N)`` stack."""
+    src = rplan.src.reshape((1,) * (stack.ndim - 2) + rplan.src.shape)
+    rot = np.take_along_axis(stack, src, axis=-1)
     return np.where(rplan.negmask, mstack.neg(rot), rot)
 
 
@@ -709,20 +710,26 @@ def _hoisted_gemm_rotations_inner(
 def gemm_rotation_batch(
     c0_stack: np.ndarray, c1_stack: np.ndarray, rplan: HoistedRotationPlan
 ) -> np.ndarray:
-    """Rotate item ``i`` of a ``(L_Q, k, N)`` pair batch by power ``i``.
+    """Rotate item ``i`` of a ``(L_Q, ..., k, N)`` pair batch by power ``i``.
 
     The BSGS giant step: k *different* inner sums, each rotated by its
     own step -- automorphism first (itemwise gather), then one batched
-    ModUp + IP + ModDown across the whole batch.  Returns the
-    ``(L_Q, 2, k, N)`` rotated ciphertext stack (c0 component already
-    recombined).  Bit-identical to k sequential ``Evaluator.rotate``
+    ModUp + IP + ModDown across the whole batch.  Axes before ``k`` (the
+    outputs of a stacked transform) share the k keys: the key tensor
+    broadcasts over them, so no key is stored twice.  Returns the
+    ``(L_Q, 2, ..., k, N)`` rotated ciphertext stack (c0 component
+    already recombined).  Bit-identical to sequential ``Evaluator.rotate``
     calls under the same key-switch method family.
     """
     plan = rplan.ks
-    rot1 = _gather_itemwise(c1_stack, rplan, plan.q_mstack)  # (L_Q, k, N)
-    raised = _modup_stack(rot1, plan)  # (L, beta, k, N)
-    raised = np.ascontiguousarray(np.swapaxes(raised, 1, 2))  # (L, k, beta, N)
-    out = _inner_product(raised, rplan.evk, plan, digit_axis=2)  # (L_Q, 2, k, N)
+    rot1 = _gather_itemwise(c1_stack, rplan, plan.q_mstack)  # (L_Q, ..., k, N)
+    raised = _modup_stack(rot1, plan)  # (L, beta, ..., k, N)
+    raised = np.ascontiguousarray(np.moveaxis(raised, 1, -2))  # (L, ..., k, beta, N)
+    evk = rplan.evk  # (..key axes, k, beta, N)
+    evk = evk.reshape(evk.shape[:-3] + (1,) * (raised.ndim - 4) + evk.shape[-3:])
+    out = _inner_product(
+        raised, evk, plan, digit_axis=raised.ndim - 2
+    )  # (L_Q, 2, ..., k, N)
     rot0 = _gather_itemwise(c0_stack, rplan, plan.q_mstack)
     out[:, 0] = plan.q_mstack.add(rot0, out[:, 0])
     return out

@@ -11,22 +11,28 @@ to roughly ``2 * sqrt(#diags)``:
 
     M z = sum_g rot( sum_b  rot^{-g*n1}(diag_{g*n1+b}) * rot^b(z), g*n1 )
 
-This module turns a complex ``slots x slots`` matrix into encoded diagonal
+This module turns a complex ``slots x slots`` matrix -- or a stack of M
+such matrices applied to the same input -- into encoded diagonal
 plaintexts and applies it to a ciphertext with an :class:`Evaluator`.
 
 :meth:`LinearTransform.apply` compiles the transform into a
 :class:`LinearTransformPlan`: baby rotations off ONE hoisted ModUp via
-:func:`~repro.ckks.keyswitch.plan.hoisted_gemm_rotations`, all ``(g, b)``
-plaintext products and the inner sums as one NTT-domain lazily-reduced
-einsum, giant rotations as one
+:func:`~repro.ckks.keyswitch.plan.hoisted_gemm_rotations`, all ``(m, g,
+b)`` plaintext products and the inner sums as one NTT-domain
+lazily-reduced einsum, giant rotations of every output as one
 :func:`~repro.ckks.keyswitch.plan.gemm_rotation_batch`, and the final
 Rescale folded into the accumulation epilogue
-(:meth:`~repro.math.modstack.ModulusStack.divide_exact_drop`).  It is
-checked bit for bit against :func:`repro.ckks.reference.linear_transform`,
-which applies the same BSGS schedule term by term.
+(:meth:`~repro.math.modstack.ModulusStack.divide_exact_drop`).  A stack
+shares one BSGS layout, taken from the union of its matrices' nonzero
+diagonals, so its M outputs rotate the input once and come back as one
+batched ciphertext (the ``BatchSize`` axis of
+:mod:`~repro.ckks.batched`); a 2-D matrix is the M=1 case of the same
+plan.  It is checked bit for bit against
+:func:`repro.ckks.reference.linear_transform`, which applies the same
+BSGS schedule term by term.
 
-Encoded diagonal plaintexts are cached per ``(level, scale)`` -- the
-bootstrap pipeline applies the same transform at the same level on every
+Encoded diagonal plaintexts are cached per level -- the bootstrap
+pipeline applies the same transform at the same level on every
 invocation, and re-encoding hundreds of identical diagonals dominated its
 profile before the cache.
 """
@@ -73,7 +79,7 @@ class LinearTransformPlan:
 
     Holds the hoisted baby-rotation plan, the giant-step batch plan (both
     served from the shared op-plan LRU), and the NTT-form diagonal tensor
-    ``(L_Q, G, B, N)`` pre-encoded at plan build -- everything
+    ``(L_Q, M, G, B, N)`` pre-encoded at plan build -- everything
     :meth:`LinearTransform.apply` would otherwise recompute per call.
     """
 
@@ -90,6 +96,7 @@ class LinearTransformPlan:
         self.params = params
         self.method = method
         self.level = level
+        self.stacked = lt.stacked
         self.q_basis = params.q_basis(level)
         self.mq = ModulusStack.for_moduli(self.q_basis.moduli)
         self.ntt = get_stack(params.degree, self.q_basis.moduli)
@@ -124,15 +131,16 @@ class LinearTransformPlan:
         # contribute exact-zero products to the inner einsum (bit-identical
         # to skipping those terms).
         pts = lt._encoded_diagonals(level)
-        self.pt_scale = next(iter(pts.values())).scale
+        self.pt_scale = next(iter(pts.values()))[0].scale
         ptt = self.mq.zeros(
-            (len(self.giants), len(self.baby_steps), params.degree)
+            (lt.count, len(self.giants), len(self.baby_steps), params.degree)
         )
         for gi, g in enumerate(self.giants):
             for b in lt._plan[g]:
-                ptt[:, gi, self.bmap[b]] = (
-                    pts[(g, b)].poly.keep_limbs(level + 1).to_ntt().stack
-                )
+                for m, pt in enumerate(pts[(g, b)]):
+                    ptt[:, m, gi, self.bmap[b]] = (
+                        pt.poly.keep_limbs(level + 1).to_ntt().stack
+                    )
         self.pt_tensor = ptt
 
         # Fused-rescale epilogue constants.
@@ -160,7 +168,12 @@ class LinearTransformPlan:
         )
 
     def run(self, ct: Ciphertext) -> Ciphertext:
-        """Apply the compiled transform (one level consumed)."""
+        """Apply the compiled transform (one level consumed).
+
+        The babies are rotated once, however many matrices the plan holds;
+        the products, the INTT, the giant steps and the rescale then run
+        once over all M outputs.
+        """
         params = self.params
         degree = params.degree
         # -- babies: identity slot(s) + one hoisted GEMM batch -------------
@@ -178,34 +191,35 @@ class LinearTransformPlan:
                 bab[:, 0, self.bmap[b]] = p0.stack
                 bab[:, 1, self.bmap[b]] = p1.stack
 
-        # -- all (g, b) products and inner sums: one NTT-domain einsum -----
+        # -- all (m, g, b) products and inner sums: one NTT-domain einsum --
         f = self.ntt.forward(bab)  # (L, 2, B, N)
         inner = self.mq.lazy_mul_sum(
-            f[:, :, None], self.pt_tensor[:, None], axis=3
-        )  # (L, 2, G, N)
+            f[:, :, None, None], self.pt_tensor[:, None], axis=4
+        )  # (L, 2, M, G, N)
         inner = self.ntt.inverse(inner)
 
         # -- giants: identity slice(s) + one batched rotation key switch ---
         acc: Optional[np.ndarray] = None
         for gi, g in enumerate(self.giants):
             if g not in self.live_giants:
-                sl = inner[:, :, gi]
+                sl = inner[:, :, :, gi]
                 acc = sl.copy() if acc is None else self.mq.add(acc, sl)
         if self.giant_batch is not None:
             idxs = [self.giants.index(g) for g in self.live_giants]
+            live = inner[:, :, :, idxs]  # (L, 2, M, k, N)
             out = _ksplan.gemm_rotation_batch(
-                np.ascontiguousarray(inner[:, 0, idxs]),
-                np.ascontiguousarray(inner[:, 1, idxs]),
-                self.giant_batch,
-            )  # (L, 2, k, N)
+                live[:, 0], live[:, 1], self.giant_batch
+            )  # (L, 2, M, k, N)
             for i in range(len(self.live_giants)):
-                sl = out[:, :, i]
+                sl = out[..., i, :]
                 acc = sl.copy() if acc is None else self.mq.add(acc, sl)
 
         # -- fused Rescale epilogue ----------------------------------------
         scaled = self.mkeep.divide_exact_drop(
             acc[: self.level], acc[self.level], self.drop_modulus
-        )
+        )  # (L - 1, 2, M, N)
+        if not self.stacked:
+            scaled = scaled[:, :, 0]
         c0 = RnsPolynomial._wrap(
             degree, self.keep_basis, np.ascontiguousarray(scaled[:, 0]), False
         )
@@ -222,7 +236,10 @@ class LinearTransform:
 
     Args:
         encoder: the CKKS encoder (defines slot count and scales).
-        matrix: ``slots x slots`` complex matrix.
+        matrix: ``slots x slots`` complex matrix, or an ``(M, slots,
+            slots)`` stack of matrices applied to the same input.  A
+            stack's outputs come back as one batched ciphertext, output
+            ``m`` on batch item ``m``.
         bsgs_ratio: giant-step size is ``~sqrt(#diags * bsgs_ratio)``.
 
     Consumes one multiplicative level per application (a single Rescale).
@@ -236,19 +253,34 @@ class LinearTransform:
     ):
         self.encoder = encoder
         self.slots = encoder.slots
-        diagonals = matrix_diagonals(matrix)
-        if not diagonals:
+        matrices = np.asarray(matrix, dtype=np.complex128)
+        if matrices.ndim not in (2, 3):
+            raise ValueError(
+                f"expected a matrix or a stack of matrices, got {matrices.shape}"
+            )
+        self.stacked = matrices.ndim == 3
+        if not self.stacked:
+            matrices = matrices[None]
+        per_matrix = [matrix_diagonals(m) for m in matrices]
+        #: Number of matrices (M); their nonzero diagonals share one layout.
+        self.count = len(per_matrix)
+        self.diagonal_indices = sorted(set().union(*per_matrix))
+        if not self.diagonal_indices:
             raise ValueError("matrix has no nonzero diagonals")
-        self.diagonal_indices = sorted(diagonals)
-        self.baby = max(1, round(math.sqrt(len(diagonals) * bsgs_ratio)))
-        #: plan[g][b] = plaintext diagonal for rotation g*baby + b (pre-rotated).
+        self.baby = max(
+            1, round(math.sqrt(len(self.diagonal_indices) * bsgs_ratio))
+        )
+        zero = np.zeros(self.slots, dtype=np.complex128)
+        #: plan[g][b] = ``(M, slots)`` diagonals for rotation g*baby + b
+        #: (pre-rotated); a matrix without that diagonal holds zeros.
         self._plan: Dict[int, Dict[int, np.ndarray]] = {}
-        for d, diag in diagonals.items():
+        for d in self.diagonal_indices:
             g, b = divmod(d, self.baby)
-            # Pre-rotate the diagonal so the giant-step rotation commutes.
-            self._plan.setdefault(g, {})[b] = np.roll(diag, g * self.baby)
-        #: Encoded diagonals keyed by (level, scale) -- see _encoded_diagonals.
-        self._pt_cache: Dict[Tuple[int, Optional[float]], Dict[Tuple[int, int], Plaintext]] = {}
+            diags = np.stack([diagonals.get(d, zero) for diagonals in per_matrix])
+            # Pre-rotate the diagonals so the giant-step rotation commutes.
+            self._plan.setdefault(g, {})[b] = np.roll(diags, g * self.baby, axis=-1)
+        #: Encoded diagonals keyed by level -- see _encoded_diagonals.
+        self._pt_cache: Dict[int, Dict[Tuple[int, int], List[Plaintext]]] = {}
         #: Compiled plans keyed by (level, method, backend, key tokens).
         self._plans: Dict[tuple, LinearTransformPlan] = {}
 
@@ -258,27 +290,20 @@ class LinearTransform:
         steps |= {g * self.baby for g in self._plan if g}
         return sorted(steps)
 
-    def _encoded_diagonals(
-        self, level: int, scale: Optional[float] = None
-    ) -> Dict[Tuple[int, int], Plaintext]:
-        """Every diagonal encoded at (`level`, `scale`), cached.
+    def _encoded_diagonals(self, level: int) -> Dict[Tuple[int, int], List[Plaintext]]:
+        """Every diagonal encoded at `level`: one plaintext per matrix, cached.
 
         Compiled plans and the reference applier draw from this cache, so
         a second application at the same level performs zero re-encodes.
         """
-        key = (level, scale)
-        cached = self._pt_cache.get(key)
+        cached = self._pt_cache.get(level)
         if cached is None:
-            cached = {}
-            for g, plan in sorted(self._plan.items()):
-                for b, diag in sorted(plan.items()):
-                    if scale is None:
-                        cached[(g, b)] = self.encoder.encode(diag, level=level)
-                    else:
-                        cached[(g, b)] = self.encoder.encode(
-                            diag, level=level, scale=scale
-                        )
-            self._pt_cache[key] = cached
+            cached = {
+                (g, b): [self.encoder.encode(row, level=level) for row in diags]
+                for g, plan in sorted(self._plan.items())
+                for b, diags in sorted(plan.items())
+            }
+            self._pt_cache[level] = cached
         return cached
 
     def _compiled(self, evaluator: Evaluator, level: int) -> LinearTransformPlan:
@@ -301,7 +326,8 @@ class LinearTransform:
 
     def apply(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
         """Homomorphically compute ``M z`` (one level consumed) through the
-        compiled :class:`LinearTransformPlan`."""
+        compiled :class:`LinearTransformPlan`; a stack returns its M
+        products as one batched ciphertext."""
         if ct.c2 is not None:
             raise ValueError("linear transform requires a relinearised ciphertext")
         return self._compiled(evaluator, ct.level).run(ct)

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 from ..math.polynomial import RnsPolynomial
 from ..math.rns import bconv_approx
+from .batched import stack_ciphertexts
 from .ciphertext import Ciphertext
 from .keys import GaloisKeys, KeySwitchKey, rotation_galois_power
 from .keyswitch import hybrid
@@ -116,7 +117,8 @@ def linear_transform(lt, evaluator, ct: Ciphertext) -> Ciphertext:
 
     Babies are hoisted reference rotations of `ct` and giants plain ones,
     as in the compiled plan; every product, sum and the final Rescale is
-    an `evaluator` call.
+    an `evaluator` call.  A stacked transform runs matrix by matrix over
+    the shared babies, and its outputs are stacked as the plan's are.
     """
     method, keys = evaluator.method, evaluator.galois_keys
     pts = lt._encoded_diagonals(ct.level)
@@ -124,12 +126,15 @@ def linear_transform(lt, evaluator, ct: Ciphertext) -> Ciphertext:
         b: rotate(ct, b, keys, method, hoisted=True)
         for b in {b for plan in lt._plan.values() for b in plan}
     }
-    outer = None
-    for g, plan in sorted(lt._plan.items()):
-        inner = None
-        for b in sorted(plan):
-            term = evaluator.multiply_plain(babies[b], pts[(g, b)])
-            inner = term if inner is None else evaluator.add(inner, term)
-        inner = rotate(inner, g * lt.baby, keys, method)
-        outer = inner if outer is None else evaluator.add(outer, inner)
-    return evaluator.rescale(outer)
+    outputs = []
+    for m in range(lt.count):
+        outer = None
+        for g, plan in sorted(lt._plan.items()):
+            inner = None
+            for b in sorted(plan):
+                term = evaluator.multiply_plain(babies[b], pts[(g, b)][m])
+                inner = term if inner is None else evaluator.add(inner, term)
+            inner = rotate(inner, g * lt.baby, keys, method)
+            outer = inner if outer is None else evaluator.add(outer, inner)
+        outputs.append(evaluator.rescale(outer))
+    return stack_ciphertexts(outputs) if lt.stacked else outputs[0]

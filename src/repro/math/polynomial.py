@@ -215,13 +215,17 @@ class RnsPolynomial:
 
     @classmethod
     def from_int_coeffs(cls, coeffs, degree: int, basis: RnsBasis) -> "RnsPolynomial":
-        """Build from (possibly signed) integer coefficients."""
+        """Build from (possibly signed) integer coefficients.
+
+        :meth:`RnsBasis.decompose` already reduces every limb, so the stack
+        is wrapped as is instead of being reduced a second time.
+        """
         arr = np.asarray(coeffs)
         if arr.shape[-1] != degree:
             raise ValueError(
                 f"coefficient shape {arr.shape} incompatible with degree {degree}"
             )
-        return cls(degree, basis, basis.decompose(arr), is_ntt=False)
+        return cls._wrap(degree, basis, np.stack(basis.decompose(arr)), False)
 
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial._wrap(

@@ -19,7 +19,7 @@ Two conversions are provided:
 from __future__ import annotations
 
 from functools import reduce
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class RnsBasis:
         self.q_hat_inv: Tuple[int, ...] = tuple(
             modarith.inv_mod(h % q, q) for h, q in zip(self.q_hat, moduli)
         )
+        #: ``(start, stop)`` -> the sub-basis :meth:`subbasis` built for it.
+        self._subbases: Dict[Tuple[int, int], "RnsBasis"] = {}
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -60,8 +62,17 @@ class RnsBasis:
         return f"RnsBasis({len(self.moduli)} limbs, {min(bits)}-{max(bits)} bits)"
 
     def subbasis(self, start: int, stop: int) -> "RnsBasis":
-        """The basis formed by moduli ``[start:stop]``."""
-        return RnsBasis(self.moduli[start:stop])
+        """The basis formed by moduli ``[start:stop]``.
+
+        Built once per ``(start, stop)`` and kept on this basis: a level
+        drop (:meth:`~repro.math.polynomial.RnsPolynomial.keep_limbs`)
+        then rebuilds no CRT tables.
+        """
+        key = (start, stop)
+        sub = self._subbases.get(key)
+        if sub is None:
+            sub = self._subbases[key] = RnsBasis(self.moduli[start:stop])
+        return sub
 
     def decompose(self, values) -> List[np.ndarray]:
         """Split integer array `values` into one residue array per limb.
